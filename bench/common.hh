@@ -14,12 +14,16 @@
 
 #include <sys/resource.h>
 
+#include <cctype>
+#include <cerrno>
 #include <chrono>
+#include <cmath>
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
 #include <fstream>
 #include <functional>
+#include <limits>
 #include <memory>
 #include <optional>
 #include <string>
@@ -27,7 +31,6 @@
 #include <vector>
 
 #include "core/app_memory.hh"
-#include "core/cluster.hh"
 #include "core/node.hh"
 #include "core/testbed.hh"
 #include "simcore/profile.hh"
@@ -99,27 +102,26 @@ streamSenderLoop(Node &node, net::NodeId dst, std::uint16_t port,
 class Meter
 {
   public:
-    /** Drive any engine: a Simulation or a ShardGroup. */
-    explicit Meter(sim::Runner &runner) : runner_(runner) {}
+    explicit Meter(Simulation &sim) : sim_(sim) {}
 
     /** Run the warmup phase then reset the given nodes' CPU windows. */
     void
     warmup(Tick duration, std::initializer_list<Node *> nodes)
     {
-        runner_.runFor(duration);
+        sim_.runFor(duration);
         for (Node *n : nodes)
             n->cpu().resetUtilizationWindow();
-        windowStart_ = runner_.now();
+        windowStart_ = sim_.now();
     }
 
     /** Run the measurement window. */
-    void run(Tick duration) { runner_.runFor(duration); }
+    void run(Tick duration) { sim_.runFor(duration); }
 
     Tick windowStart() const { return windowStart_; }
-    Tick elapsed() const { return runner_.now() - windowStart_; }
+    Tick elapsed() const { return sim_.now() - windowStart_; }
 
   private:
-    sim::Runner &runner_;
+    Simulation &sim_;
     Tick windowStart_{};
 };
 
@@ -224,36 +226,6 @@ class Options
                                           : sampleInterval_;
     }
 
-    /**
-     * Artifacts that follow individual requests through one span tree
-     * — traces and profiles — need every span stamped from one clock,
-     * so those runs still pin to a single shard.
-     */
-    bool
-    traced() const
-    {
-        return wantTrace() || wantRequestTrace() || wantSpanReport() ||
-               wantProfile();
-    }
-
-    /**
-     * Worker shards to partition the cluster over (`--shards N`).
-     * Traced runs (Chrome traces, span reports, profiles) pin to one
-     * shard: one request's spans must be stamped from one clock.
-     * Reports and metrics snapshots shard freely — per-shard
-     * registries merge deterministically at capture (DESIGN.md §8),
-     * and snapshot sampling is per-shard lane-0 local.  Results are
-     * shard-count-invariant either way; see DESIGN.md §10.
-     */
-    unsigned
-    shards() const
-    {
-        return traced() ? 1u : shards_;
-    }
-
-    /** The raw --shards value, before the instrumentation pin. */
-    unsigned requestedShards() const { return shards_; }
-
     /** @name Transport pinning (`--transport {tcp,ioat,bypass}`)
      *  @{ */
     /** The raw flag value ("" when absent). */
@@ -283,7 +255,8 @@ class Options
 
     /**
      * Parse argv.  @return false when the process should exit
-     * immediately (--help, or a bad flag); exitCode() says how.
+     * immediately (--help, or a bad flag or value); exitCode() says
+     * how.  A numeric value must parse completely and lie in range.
      */
     bool
     parse(int argc, char **argv)
@@ -302,16 +275,6 @@ class Options
                 if (val != "tcp" && val != "ioat" && val != "bypass")
                     return fail("--transport wants tcp, ioat or bypass");
                 transport_ = val;
-                continue;
-            }
-            if (arg == "--shards") {
-                if (i + 1 >= argc)
-                    return fail(arg + " needs a value");
-                const unsigned long n =
-                    std::strtoul(argv[++i], nullptr, 10);
-                if (n < 1 || n > 64)
-                    return fail("--shards wants 1..64");
-                shards_ = static_cast<unsigned>(n);
                 continue;
             }
             if (arg == "--metrics-engine") {
@@ -340,14 +303,15 @@ class Options
                     metrics_ = val;
                 else if (arg == "--bench-json")
                     benchJson_ = val;
-                else if (arg == "--metrics-interval")
-                    metricsInterval_ = sim::microseconds(
-                        std::strtoull(val.c_str(), nullptr, 10));
-                else if (arg == "--sample-interval")
-                    sampleInterval_ = sim::microseconds(
-                        std::strtoull(val.c_str(), nullptr, 10));
-                else
-                    seed_ = std::strtoull(val.c_str(), nullptr, 10);
+                else if (arg == "--metrics-interval") {
+                    if (!parseInterval(val, metricsInterval_))
+                        return fail(arg + " wants whole microseconds >= 1");
+                } else if (arg == "--sample-interval") {
+                    if (!parseInterval(val, sampleInterval_))
+                        return fail(arg + " wants whole microseconds >= 1");
+                } else if (!parseWhole(val, seed_)) {
+                    return fail("--seed wants a whole number >= 0");
+                }
                 continue;
             }
             bool matched = false;
@@ -355,7 +319,8 @@ class Options
                 if (arg == "--" + k.name) {
                     if (i + 1 >= argc)
                         return fail(arg + " needs a value");
-                    *k.slot = std::strtod(argv[++i], nullptr);
+                    if (!parseNumber(argv[++i], *k.slot))
+                        return fail(arg + " wants a number >= 0");
                     matched = true;
                     break;
                 }
@@ -413,10 +378,6 @@ class Options
                      "(default 100)\n"
                      "  --seed <n>                run seed echoed into the "
                      "report\n"
-                     "  --shards <n>              worker shards for the "
-                     "cluster (default 1; results are\n"
-                     "                            identical at any value, "
-                     "traced/profiled runs pin to 1)\n"
                      "  --transport <t>           pin one transport: tcp, "
                      "ioat or bypass (default: render\n"
                      "                            the bench's usual "
@@ -434,7 +395,6 @@ class Options
         std::vector<std::pair<std::string, std::string>> cfg;
         cfg.emplace_back("sampleIntervalTicks",
                          std::to_string(sampleInterval_.count()));
-        cfg.emplace_back("shards", std::to_string(shards()));
         cfg.emplace_back("transport",
                          transport_.empty() ? "default" : transport_);
         for (const Knob &k : knobs_)
@@ -459,6 +419,51 @@ class Options
         return false;
     }
 
+    /** Digits only (no sign, space or suffix), within uint64. */
+    static bool
+    parseWhole(const std::string &text, std::uint64_t &out)
+    {
+        if (text.empty() ||
+            !std::isdigit(static_cast<unsigned char>(text[0])))
+            return false;
+        errno = 0;
+        char *end = nullptr;
+        const unsigned long long v =
+            std::strtoull(text.c_str(), &end, 10);
+        if (errno == ERANGE || *end != '\0')
+            return false;
+        out = v;
+        return true;
+    }
+
+    /** Whole microseconds >= 1 that fit a Tick. */
+    static bool
+    parseInterval(const std::string &text, Tick &out)
+    {
+        std::uint64_t us = 0;
+        if (!parseWhole(text, us) || us < 1 ||
+            us > std::numeric_limits<std::uint64_t>::max() / 1000)
+            return false;
+        out = sim::microseconds(us);
+        return true;
+    }
+
+    /** A finite decimal >= 0 with nothing after it. */
+    static bool
+    parseNumber(const char *text, double &out)
+    {
+        if (!std::isdigit(static_cast<unsigned char>(text[0])) &&
+            text[0] != '.')
+            return false;
+        errno = 0;
+        char *end = nullptr;
+        const double v = std::strtod(text, &end);
+        if (errno == ERANGE || *end != '\0' || !std::isfinite(v))
+            return false;
+        out = v;
+        return true;
+    }
+
     std::string bench_;
     std::string report_;
     std::string trace_;
@@ -471,7 +476,6 @@ class Options
     Tick sampleInterval_ = sim::microseconds(100);
     Tick metricsInterval_{};
     std::uint64_t seed_ = 1;
-    unsigned shards_ = 1;
     std::string transport_;
     std::vector<Knob> knobs_;
     int exitCode_ = 0;
@@ -557,38 +561,29 @@ benchMain(int argc, char **argv, Options &opts,
 class TelemetryRun
 {
   public:
-    TelemetryRun(Simulation &sim, const Options &opts) : opts_(opts)
+    TelemetryRun(Simulation &sim, const Options &opts)
+        : opts_(opts), session_(sim, sessionConfig(opts))
     {
-        session_.emplace(sim, sessionConfig(opts));
-        initSingle(sim);
-    }
-
-    /**
-     * Cluster-aware variant.  With one shard this is exactly the
-     * classic single-Simulation setup — sampled series, traces,
-     * profiling all work.  With several shards only the artifacts
-     * that merge deterministically stay on: the RunReport captures a
-     * name-sorted merged registry (scalars/histograms/flows; no
-     * sampled series) and metrics snapshots sample each shard from
-     * its own lane-0 event.  Trace/span/profile artifacts stay
-     * single-shard — Options::shards() pins them there.
-     */
-    TelemetryRun(core::Cluster &cluster, const Options &opts)
-        : opts_(opts), cluster_(&cluster)
-    {
-        if (cluster.group().shardCount() == 1) {
-            session_.emplace(cluster.group().shard(0),
-                             sessionConfig(opts));
-            initSingle(cluster.group().shard(0));
-        } else if (opts.wantMetrics()) {
-            metrics_.emplace(cluster.group(), snapshotConfig(opts));
+        if (opts_.wantTrace()) {
+            tracer_ = std::make_unique<sim::TraceWriter>();
+            session_.attachTracer(tracer_.get());
         }
+        if (opts_.wantRequestTrace() || opts_.wantSpanReport() ||
+            opts_.wantProfile()) {
+            // Must happen before the workload spawns so requests are
+            // minted from the first iteration on.
+            reqTracer_ = &sim.enableRequestTracing();
+            session_.add("requestTrace", *reqTracer_);
+            if (opts_.wantProfile()) {
+                profiler_.emplace();
+                reqTracer_->attachProfiler(&*profiler_);
+            }
+        }
+        if (opts_.wantMetrics())
+            metrics_.emplace(sim, snapshotConfig(opts_));
     }
 
-    /** The Session; only present when the run is single-Simulation
-     *  (always true outside the multi-shard Cluster path). */
-    sim::telemetry::Session &session() { return *session_; }
-    bool hasSession() const { return session_.has_value(); }
+    sim::telemetry::Session &session() { return session_; }
 
     /**
      * Capture and write artifacts.  @p extra_config is appended to
@@ -608,19 +603,7 @@ class TelemetryRun
             for (auto &kv : cfg)
                 report.addConfig(std::move(kv.first),
                                  std::move(kv.second));
-            if (session_) {
-                session_->captureInto(report);
-            } else {
-                // Multi-shard: walk every shard's hub into one
-                // registry.  Walk order depends on the partition, so
-                // sort by name before capturing.
-                sim::telemetry::Registry merged;
-                auto &group = cluster_->group();
-                for (unsigned s = 0; s < group.shardCount(); ++s)
-                    group.shard(s).telemetry().instrumentAll(merged);
-                merged.sortByName();
-                report.capture(merged, group.now());
-            }
+            session_.captureInto(report);
             report.saveJson(opts_.reportPath());
         }
         if (tracer_)
@@ -636,10 +619,8 @@ class TelemetryRun
         }
         if (profiler_)
             profiler_->saveFolded(opts_.profilePath());
-        if (metrics_) {
-            metrics_->captureFinal();
+        if (metrics_)
             metrics_->save(opts_.metricsPath());
-        }
     }
 
     /** The request tracer, when --trace-requests/--span-report is on. */
@@ -675,35 +656,10 @@ class TelemetryRun
         return cfg;
     }
 
-    /** Single-Simulation artifact wiring (tracing, profiling,
-     *  snapshots); requires session_ to be live. */
-    void
-    initSingle(Simulation &sim)
-    {
-        if (opts_.wantTrace()) {
-            tracer_ = std::make_unique<sim::TraceWriter>();
-            session_->attachTracer(tracer_.get());
-        }
-        if (opts_.wantRequestTrace() || opts_.wantSpanReport() ||
-            opts_.wantProfile()) {
-            // Must happen before the workload spawns so requests are
-            // minted from the first iteration on.
-            reqTracer_ = &sim.enableRequestTracing();
-            session_->add("requestTrace", *reqTracer_);
-            if (opts_.wantProfile()) {
-                profiler_.emplace();
-                reqTracer_->attachProfiler(&*profiler_);
-            }
-        }
-        if (opts_.wantMetrics())
-            metrics_.emplace(sim, snapshotConfig(opts_));
-    }
-
     const Options &opts_;
-    core::Cluster *cluster_ = nullptr;
     std::unique_ptr<sim::TraceWriter> tracer_;
     sim::RequestTracer *reqTracer_ = nullptr;
-    std::optional<sim::telemetry::Session> session_;
+    sim::telemetry::Session session_;
     std::optional<sim::Profiler> profiler_;
     std::optional<sim::telemetry::MetricsSnapshot> metrics_;
 };

@@ -222,58 +222,6 @@ BM_TcpStreamCluster(benchmark::State &state)
 }
 BENCHMARK(BM_TcpStreamCluster)->Unit(benchmark::kMillisecond);
 
-// ---- Sharded execution hot paths -----------------------------------
-//
-// The two costs `--shards` adds over the classic loop: the horizon
-// barrier (one window handshake per lookahead interval, events or
-// not) and the cross-shard mailbox path (post + merge + keyed inject
-// vs a plain local schedule).  Both are per-window / per-event
-// overheads the speedup model in DESIGN.md §10 divides by.
-
-void
-BM_ShardBarrier(benchmark::State &state)
-{
-    // Empty windows: pure barrier handshake cost for N workers.
-    const auto shards = static_cast<unsigned>(state.range(0));
-    sim::ShardGroup group(shards, sim::microseconds(1));
-    sim::Tick t{};
-    for (auto _ : state) {
-        t += sim::microseconds(100); // 100 windows per iteration
-        group.runUntil(t);
-    }
-    state.SetItemsProcessed(
-        static_cast<std::int64_t>(group.barriers()));
-}
-BENCHMARK(BM_ShardBarrier)->Arg(2)->Arg(4)->Arg(8);
-
-void
-BM_CrossShardSend(benchmark::State &state)
-{
-    // Ping-pong between two single-node shards through the switch:
-    // every delivery crosses the mailbox, so items/sec is the
-    // end-to-end cross-shard event rate (post + barrier merge +
-    // keyed injection + delivery).
-    sim::ShardGroup group(2, sim::nanoseconds(2000));
-    net::Switch fabric(group, sim::nanoseconds(2000));
-    const NodeConfig cfg = NodeConfig::server(IoatConfig::disabled(), 1);
-    Node a(group.shard(0), fabric, cfg);
-    Node b(group.shard(1), fabric, cfg);
-    const std::size_t chunk = 64 * 1024;
-    a.spawn(perfSinkLoop(a, 5001, chunk));
-    b.spawn(perfSenderLoop(b, a.id(), 5001, chunk));
-    sim::Tick t{};
-    std::uint64_t last = 0;
-    std::uint64_t crossed = 0;
-    for (auto _ : state) {
-        t += sim::microseconds(500);
-        group.runUntil(t);
-        crossed += group.crossEvents() - last;
-        last = group.crossEvents();
-    }
-    state.SetItemsProcessed(static_cast<std::int64_t>(crossed));
-}
-BENCHMARK(BM_CrossShardSend)->Unit(benchmark::kMillisecond);
-
 /** Instrumented 2-node stream for --report/--trace artifacts. */
 void
 reportRun(const ioat::bench::Options &opts)

@@ -11,11 +11,9 @@
  * built for — a comparison against an older tree shows how the
  * hot-path holds up as the cluster grows.
  *
- * `--shards N` partitions the cluster over N worker threads
- * (DESIGN.md §10).  The modelled results — TPS, event counts, and
- * with them the JSON "digest" field — are identical at any shard
- * count; only wall-clock and events/sec change.  CI runs the sweep at
- * several shard counts and gates on digest equality.
+ * The modelled results — TPS and event counts, digested into the
+ * JSON "digest" field — are deterministic; only wall-clock and
+ * events/sec change from run to run.
  *
  * Results are also written to BENCH_scale.json (see EXPERIMENTS.md
  * for the schema) so successive PRs can be compared mechanically.
@@ -53,17 +51,21 @@ struct Point
 
 Point
 run(IoatConfig features, const char *configName, unsigned clientNodes,
-    unsigned shards, const Options *report = nullptr)
+    const Options *report = nullptr)
 {
     const auto wall0 = std::chrono::steady_clock::now();
 
-    core::Cluster cluster(shards);
-    Node &server_node =
-        cluster.addNode(NodeConfig::server(features, 6));
+    Simulation sim;
+    core::Testbed tb(sim, core::TestbedConfig{
+                              .serverCount = 1,
+                              .serverConfig = NodeConfig::server(features, 6),
+                              .clientCount = clientNodes,
+                              .clientConfig = NodeConfig::server(features, 6),
+                          });
+    Node &server_node = tb.server(0);
     std::vector<core::Node *> clientPtrs;
     for (unsigned i = 0; i < clientNodes; ++i)
-        clientPtrs.push_back(
-            &cluster.addNode(NodeConfig::server(features, 6)));
+        clientPtrs.push_back(&tb.client(i));
 
     dc::DcConfig cfg;
     dc::SingleFileWorkload wl(16 * 1024, 1000);
@@ -82,13 +84,10 @@ run(IoatConfig features, const char *configName, unsigned clientNodes,
     dc::ClientFleet fleet(clientPtrs, wl, opts);
     std::optional<TelemetryRun> tr;
     if (report)
-        // Cluster-aware: single-shard runs get the full Session
-        // (sampled series, traces); multi-shard runs keep the report
-        // and metrics snapshots via the deterministic merge.
-        tr.emplace(cluster, *report);
+        tr.emplace(sim, *report);
     fleet.start();
 
-    Meter meter(cluster.runner());
+    Meter meter(sim);
     meter.warmup(sim::milliseconds(100), {clientPtrs[0], &server_node});
     const std::uint64_t done0 = fleet.completed();
     meter.run(sim::milliseconds(400));
@@ -97,7 +96,7 @@ run(IoatConfig features, const char *configName, unsigned clientNodes,
     const auto wall1 = std::chrono::steady_clock::now();
     const double wallSec =
         std::chrono::duration<double>(wall1 - wall0).count();
-    const std::uint64_t events = cluster.group().executedEvents();
+    const std::uint64_t events = sim.executedEvents();
 
     if (report)
         report->noteEvents(events);
@@ -114,7 +113,7 @@ run(IoatConfig features, const char *configName, unsigned clientNodes,
 /**
  * Digest over the *modelled* fields only (clients, config, tps,
  * events) — wall-clock and events/sec vary run to run, the model
- * must not.  Equal digests across `--shards` values is the CI gate.
+ * must not.
  */
 std::string
 modelDigest(const std::vector<Point> &points)
@@ -128,13 +127,11 @@ modelDigest(const std::vector<Point> &points)
 }
 
 void
-writeJson(const std::vector<Point> &points, unsigned shards,
-          const std::string &path)
+writeJson(const std::vector<Point> &points, const std::string &path)
 {
     std::ofstream out(path);
     out << "{\n  \"bench\": \"scale_cluster\",\n"
         << "  \"threadsPerNode\": " << kThreadsPerNode << ",\n"
-        << "  \"shards\": " << shards << ",\n"
         << "  \"digest\": \"" << modelDigest(points) << "\",\n"
         << "  \"points\": [\n";
     for (std::size_t i = 0; i < points.size(); ++i) {
@@ -161,12 +158,8 @@ main(int argc, char **argv)
                  "largest client-node count in the sweep (8/16/32/64)");
     return benchMain(argc, argv, options, [&maxClients](
                                               const Options &opts) {
-    const unsigned shards = opts.shards();
-
     std::cout << "=== Cluster scale-out: Fig. 9 workload, N client "
-                 "nodes x " << kThreadsPerNode << " threads, "
-              << shards << " shard" << (shards == 1 ? "" : "s")
-              << " ===\n\n";
+                 "nodes x " << kThreadsPerNode << " threads ===\n\n";
     sim::Table t({"clients", "non-ioat TPS", "ioat TPS", "events",
                   "wall s", "events/sec"});
     std::vector<Point> points;
@@ -174,9 +167,9 @@ main(int argc, char **argv)
         if (clients > maxClients)
             break;
         const Point non =
-            run(IoatConfig::disabled(), "non-ioat", clients, shards);
+            run(IoatConfig::disabled(), "non-ioat", clients);
         const Point yes =
-            run(IoatConfig::enabled(), "ioat", clients, shards);
+            run(IoatConfig::enabled(), "ioat", clients);
         points.push_back(non);
         points.push_back(yes);
         t.addRow({std::to_string(clients), num(non.tps, 0),
@@ -191,15 +184,14 @@ main(int argc, char **argv)
     t.print(std::cout);
 
     if (opts.instrumented())
-        run(IoatConfig::enabled(), "ioat", 8, opts.shards(), &opts);
+        run(IoatConfig::enabled(), "ioat", 8, &opts);
 
     const std::string path = "BENCH_scale.json";
-    writeJson(points, shards, path);
+    writeJson(points, path);
     std::cout << "\nWrote " << path << " (" << points.size()
               << " points, digest " << modelDigest(points)
               << ").\nevents/sec is simulator hot-path throughput: "
-                 "compare across PRs at equal cluster size and shard "
-                 "count.\n";
+                 "compare across PRs at equal cluster size.\n";
     for (const Point &p : points)
         opts.noteEvents(p.events);
     return 0;

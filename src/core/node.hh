@@ -129,8 +129,8 @@ class Node : public sim::telemetry::Instrumented, public sim::Restartable
                                   *bypass_)
                             : nullptr)
     {
-        // Exact name keyed by the cluster-global port id: per-hub
-        // auto-numbering would restart per shard.
+        // Named by switch port id, so "node3" is the node whose bursts
+        // carry src 3 and whose events run on lane 4.
         sim_.telemetry().addNamed("node" + std::to_string(id()), this);
     }
 
@@ -208,9 +208,10 @@ class Node : public sim::telemetry::Instrumented, public sim::Restartable
 
     /**
      * Start a node-affine coroutine: like `simulation().spawn()` but
-     * the activity carries this node's lane, so its event keys — and
-     * with them the whole run — are invariant under resharding.
-     * Driver code spawning work that lives on a node must use this.
+     * the activity carries this node's lane, which orders its events
+     * against other nodes' at the same tick (see
+     * simcore/event_queue.hh).  Driver code spawning work that lives
+     * on a node must use this.
      */
     void
     spawn(sim::Coro<void> body)

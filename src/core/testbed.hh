@@ -16,7 +16,6 @@
 
 #include "core/node.hh"
 #include "net/switch.hh"
-#include "simcore/shard.hh"
 #include "simcore/sim.hh"
 
 namespace ioat::core {
@@ -52,30 +51,6 @@ class Testbed
         for (unsigned i = 0; i < cfg.clientCount; ++i) {
             clients_.push_back(
                 std::make_unique<Node>(sim, fabric_, cfg.clientConfig));
-        }
-    }
-
-    /**
-     * Sharded testbed: same topology, nodes dealt over the group's
-     * shards by the fixed rule shard(i) = i mod shards (i = overall
-     * build order, servers first).  Results are identical to the
-     * single-Simulation constructor at any shard count.
-     */
-    Testbed(sim::ShardGroup &group, const TestbedConfig &cfg)
-        : fabric_(group, cfg.switchLatency)
-    {
-        unsigned idx = 0;
-        servers_.reserve(cfg.serverCount);
-        for (unsigned i = 0; i < cfg.serverCount; ++i, ++idx) {
-            servers_.push_back(std::make_unique<Node>(
-                group.shard(idx % group.shardCount()), fabric_,
-                cfg.serverConfig));
-        }
-        clients_.reserve(cfg.clientCount);
-        for (unsigned i = 0; i < cfg.clientCount; ++i, ++idx) {
-            clients_.push_back(std::make_unique<Node>(
-                group.shard(idx % group.shardCount()), fabric_,
-                cfg.clientConfig));
         }
     }
 

@@ -42,9 +42,9 @@ ClientFleet::start()
 {
     for (unsigned t = 0; t < opts_.threads; ++t) {
         const std::size_t n = t % nodes_.size();
-        active_.inc();
+        ++active_;
         // Node-affine spawn: the thread's whole activity stream runs
-        // on its node's lane (and shard).
+        // on its node's lane.
         nodes_[n]->spawn(clientThread(*nodes_[n], *mems_[n],
                                       *locals_[n], opts_.rngSeed + t));
     }
@@ -55,8 +55,7 @@ ClientFleet::reconnectTicks() const
 {
     mergedReconnects_.clear();
     // Node-order concatenation, then a stable sort by tick: the
-    // result is time-ordered with ties broken by node index —
-    // deterministic however the nodes were sharded.
+    // result is time-ordered with ties broken by node index.
     for (const auto &loc : locals_)
         mergedReconnects_.insert(mergedReconnects_.end(),
                                  loc->reconnectTicks.begin(),
@@ -161,7 +160,7 @@ ClientFleet::clientThread(core::Node &node, core::AppMemory &mem,
         local.latency.sample(
             sim::toMicroseconds(node.simulation().now() - t0));
     }
-    active_.dec();
+    --active_;
 }
 
 } // namespace ioat::dc

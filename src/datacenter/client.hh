@@ -85,14 +85,10 @@ class ClientFleet
      * at that point issued() == completed()+failures()+rejected(),
      * the request-conservation invariant chaos harnesses check.
      */
-    void stop() { stopping_.set(); }
+    void stop() { stopping_ = true; }
 
     /** Threads still inside their closed loop. */
-    unsigned
-    activeThreads() const
-    {
-        return static_cast<unsigned>(active_.value());
-    }
+    unsigned activeThreads() const { return active_; }
 
     /** Requests sent (each terminates: response, 503, or failure). */
     std::uint64_t issued() const { return issued_.value(); }
@@ -103,9 +99,9 @@ class ClientFleet
     /**
      * Response-latency summary (microseconds).  Folded from per-node
      * partials in node order on every call: threads sample into their
-     * own node's accumulator (shard confinement), and the fixed merge
-     * order keeps the floating-point sums — and with them the golden
-     * digests — identical at any shard count.
+     * own node's accumulator, and the fixed merge order fixes the
+     * order of the floating-point sums the golden digests and the
+     * benchmark pins depend on.
      */
     const sim::stats::Accumulator &
     latencyUs() const
@@ -128,17 +124,14 @@ class ClientFleet
      * `kMaxRecordedReconnects` only): the gaps between consecutive
      * entries of one outage pin the capped-backoff schedule in tests.
      * Recorded per node and merged time-ordered (ties by node index)
-     * on read, so the view is deterministic under sharding.
+     * on read.
      */
     const std::vector<sim::Tick> &reconnectTicks() const;
 
     static constexpr std::size_t kMaxRecordedReconnects = 64;
 
   private:
-    /**
-     * Stats written by one node's threads only, so shard workers
-     * never contend (or race) on non-commutative state.
-     */
+    /** Order-sensitive stats, written by one node's threads only. */
     struct NodeLocal
     {
         sim::stats::Accumulator latency;
@@ -161,8 +154,8 @@ class ClientFleet
     sim::stats::Counter reconnects_;
     mutable sim::stats::Accumulator mergedLatency_;
     mutable std::vector<sim::Tick> mergedReconnects_;
-    sim::stats::Flag stopping_;
-    sim::stats::Level active_;
+    bool stopping_ = false;
+    unsigned active_ = 0;
 };
 
 } // namespace ioat::dc

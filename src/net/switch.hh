@@ -7,25 +7,19 @@
  * latency.  Link-level serialization happens in the NIC ports on both
  * sides, so the switch itself only routes.
  *
- * The switch is also the simulator's only cross-node (and therefore
- * only cross-shard) edge.  Every forwarded burst is scheduled with a
- * cross-lane key — priority lane = sender, execution lane = receiver
- * (see simcore/event_queue.hh) — so delivery order at a tick is fixed
- * by the sender's deterministic stream no matter how nodes are
- * partitioned.  Built over a `sim::ShardGroup`, deliveries whose
- * destination lives on another shard are mailed through the group's
- * horizon mailboxes instead of scheduled locally; the forwarding
- * latency must then be at least the group's lookahead, which is
- * exactly the conservative-synchronization window.
+ * The switch is also the simulator's only cross-node edge.  Every
+ * forwarded burst is scheduled with a cross-lane key — priority lane =
+ * sender, execution lane = receiver (see simcore/event_queue.hh) — so
+ * delivery order at a tick follows the sender's lane and the
+ * delivered work runs on the receiver's.
  *
  * The switch is also the network's fault-injection point: with a
  * `sim::FaultInjector` attached, every forwarded burst consults the
  * per-link fault site ("link.<src>.<dst>") for drop / duplicate /
  * extra-delay faults, and deliveries to nodes inside a crash window
- * are dropped.  Sites are keyed by the (src, dst) pair — not just the
- * egress — so each site's RNG stream is drawn only from the sender's
- * execution, keeping fault schedules shard-count-invariant.  Without
- * an injector the routing path is untouched.
+ * are dropped.  Sites are keyed by the (src, dst) pair, so each
+ * site's RNG stream is drawn only from one sender's traffic to one
+ * receiver.  Without an injector the routing path is untouched.
  */
 
 #ifndef IOAT_NET_SWITCH_HH
@@ -38,7 +32,6 @@
 #include "net/burst.hh"
 #include "simcore/assert.hh"
 #include "simcore/fault.hh"
-#include "simcore/shard.hh"
 #include "simcore/sim.hh"
 
 namespace ioat::net {
@@ -61,43 +54,18 @@ class Switch : public sim::telemetry::Instrumented
         sim_.telemetry().add("fabric", this);
     }
 
-    /**
-     * A switch spanning every shard of @p group.  Ports then attach
-     * with the Simulation they live on, and cross-shard deliveries go
-     * through the group's mailboxes.  The forwarding latency is the
-     * lookahead that makes conservative execution sound, so it must
-     * cover the group's window.
-     */
-    Switch(sim::ShardGroup &group,
-           Tick forward_latency = sim::nanoseconds(2000))
-        : sim_(group.shard(0)), latency_(forward_latency), group_(&group)
-    {
-        sim::simAssert(latency_ >= group.lookahead(),
-                       "switch latency below the shard lookahead "
-                       "window breaks conservative execution");
-        sim_.telemetry().add("fabric", this);
-    }
-
     ~Switch() override { sim_.telemetry().remove(this); }
 
     Switch(const Switch &) = delete;
     Switch &operator=(const Switch &) = delete;
 
-    /** Attach a device living on @p sim; returns its NodeId. */
+    /** Attach a device; returns its NodeId. */
     NodeId
-    attach(Simulation &sim, RxHandler handler)
+    attach(RxHandler handler)
     {
         ports_.push_back(std::move(handler));
-        portSims_.push_back(&sim);
-        portShards_.push_back(shardOf(sim));
         linkSites_.resize(ports_.size());
         return static_cast<NodeId>(ports_.size() - 1);
-    }
-
-    /** Attach a device on the primary Simulation (classic setups). */
-    NodeId attach(RxHandler handler)
-    {
-        return attach(sim_, std::move(handler));
     }
 
     /**
@@ -127,7 +95,7 @@ class Switch : public sim::telemetry::Instrumented
     /**
      * Accept a burst that finished serializing into the switch at the
      * current simulated time; deliver it to the destination device
-     * after the forwarding latency.  Runs on the sender's shard.
+     * after the forwarding latency.
      */
     void
     forward(const Burst &burst)
@@ -136,7 +104,7 @@ class Switch : public sim::telemetry::Instrumented
                        "burst addressed to unattached node");
         Tick latency = latency_;
         if (faults_) {
-            const Tick now = portSims_[burst.src]->now();
+            const Tick now = sim_.now();
             // A burst leaving a node that crashed while it was
             // serializing never makes it into the backplane.
             if (faults_->nodeDown(burst.src, now)) {
@@ -181,30 +149,19 @@ class Switch : public sim::telemetry::Instrumented
 
   private:
     /**
-     * Schedule one delivery.  The key is drawn on the sender's lane
-     * (and, for a cross-shard hop, on the sender's queue) so the
-     * destination executes deliveries in a partition-invariant order.
+     * Schedule one delivery: ordered on the sender's lane, executed
+     * on the receiver's.
      */
     void
     send(const Burst &burst, Tick latency)
     {
-        Simulation &src = *portSims_[burst.src];
         const auto prio = static_cast<std::uint32_t>(burst.src) + 1;
         const auto exec = static_cast<std::uint32_t>(burst.dst) + 1;
-        const Tick when = src.now() + latency;
-        if (group_ == nullptr ||
-            portShards_[burst.src] == portShards_[burst.dst]) {
-            src.queue().scheduleCross(
-                when, prio, exec, [this, burst] { deliver(burst); });
-        } else {
-            group_->postCross(
-                portShards_[burst.src], portShards_[burst.dst], when,
-                prio, src.queue().drawSeq(prio), exec,
-                sim::SmallFn([this, burst] { deliver(burst); }));
-        }
+        sim_.queue().scheduleCross(sim_.now() + latency, prio, exec,
+                                   [this, burst] { deliver(burst); });
     }
 
-    /** Complete one delivery at the egress port (receiver's shard). */
+    /** Complete one delivery at the egress port. */
     void
     deliver(const Burst &burst)
     {
@@ -215,9 +172,8 @@ class Switch : public sim::telemetry::Instrumented
             deadLetters_.inc();
             return;
         }
-        if (faults_ &&
-            faults_->nodeDown(burst.dst, portSims_[burst.dst]->now())) {
-            faults_->noteOutageDrop(portSims_[burst.dst]->now());
+        if (faults_ && faults_->nodeDown(burst.dst, sim_.now())) {
+            faults_->noteOutageDrop(sim_.now());
             return;
         }
         ports_[burst.dst](burst);
@@ -225,9 +181,7 @@ class Switch : public sim::telemetry::Instrumented
 
     /**
      * Per-(src, dst) fault site, created lazily and cached.  The
-     * outer vector is sized at attach/setFaultInjector time (setup);
-     * the inner row for @p src is touched only by code executing on
-     * src's shard, so the lazy fill needs no locking.
+     * outer vector is sized at attach/setFaultInjector time.
      */
     sim::FaultSite &
     linkSite(NodeId src, NodeId dst)
@@ -249,24 +203,9 @@ class Switch : public sim::telemetry::Instrumented
                         sim_.now(), sim::TraceWriter::Lanes::fault);
     }
 
-    /** Shard index of @p sim within the group (0 when ungrouped). */
-    unsigned
-    shardOf(const Simulation &sim) const
-    {
-        if (group_ == nullptr)
-            return 0;
-        for (unsigned i = 0; i < group_->shardCount(); ++i)
-            if (&group_->shard(i) == &sim)
-                return i;
-        sim::panic("attached Simulation is not a shard of the group");
-    }
-
     Simulation &sim_;
     Tick latency_;
-    sim::ShardGroup *group_ = nullptr;
     std::vector<RxHandler> ports_;
-    std::vector<Simulation *> portSims_;
-    std::vector<unsigned> portShards_;
     sim::FaultInjector *faults_ = nullptr;
     std::vector<std::vector<sim::FaultSite *>> linkSites_;
     sim::stats::Counter deadLetters_;

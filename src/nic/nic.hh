@@ -105,8 +105,7 @@ class Nic
         sim::simAssert(cfg.rxQueuesPerPort > 0,
                        "NIC needs at least one RX queue per port");
         sim::simAssert(cfg.mtu > 0, "NIC MTU must be positive");
-        id_ = fabric_.attach(sim_,
-                             [this](const Burst &b) { ingress(b); });
+        id_ = fabric_.attach([this](const Burst &b) { ingress(b); });
         if (cfg_.pollingPeriod > Tick{0}) {
             for (unsigned q = 0; q < rxQueueCount(); ++q)
                 schedulePoll(q);

@@ -36,14 +36,13 @@ namespace detail {
  *
  * Simulated activities allocate a frame per send/recv/compute call;
  * recycling them through 64-byte size classes turns that steady-state
- * malloc/free churn into two pointer moves.  The free lists are
- * thread_local: each shard worker (simcore/shard.hh) recycles frames
- * through its own lists with no locking, exactly as the classic
- * single-threaded engine does.  A frame freed on a different thread
- * than it was allocated on simply migrates lists — the arena hands
- * out raw `::operator new` storage, so ownership is not
- * thread-bound.  Oversized frames fall through to the global
- * allocator.
+ * malloc/free churn into two pointer moves.  Model code is
+ * single-threaded and Simulations in one process share no state; the
+ * free lists are thread_local so Simulations run on different threads
+ * each recycle through their own lists with no locking.  Recycled
+ * frames carry no model state, so sharing them between Simulations on
+ * one thread changes no result.  Oversized frames fall through to the
+ * global allocator.
  */
 class FrameArena
 {

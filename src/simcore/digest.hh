@@ -3,9 +3,9 @@
  * Output digesting for determinism checks.
  *
  * One tiny, dependency-free hash (FNV-1a, 64-bit) rendered as 16 hex
- * digits.  Golden tests, the shard-equivalence harness, and benches
- * all funnel rendered output through the same function, so "the same
- * digest" means the same thing everywhere: byte-identical text.
+ * digits.  Golden tests and benches all funnel rendered output
+ * through the same function, so "the same digest" means the same
+ * thing everywhere: byte-identical text.
  */
 
 #ifndef IOAT_SIMCORE_DIGEST_HH

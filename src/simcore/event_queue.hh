@@ -3,19 +3,12 @@
  * The discrete-event queue at the heart of the simulator.
  *
  * Events are arbitrary callables scheduled at an absolute Tick.  Ties
- * are broken by a (lane, sequence) key so simulations are fully
- * deterministic *and* partition-invariant: a lane is a node-confined
- * scheduling stream (lane = NodeId + 1; lane 0 is the driver/default),
- * each lane has its own monotonic sequence counter, and an event's
- * key is fixed at schedule time.  Because a lane's sequence draws all
- * happen inside that one node's deterministic execution, the key an
- * event gets does not depend on how nodes are partitioned across
- * shards — which is what lets the sharded engine (simcore/shard.hh)
- * merge cross-shard events at horizon barriers in an order identical
- * to the single-queue run.  With everything on lane 0 (the default),
- * keys reduce to plain insertion order, the historical contract.
- * The queue itself is strictly single-threaded; parallelism happens
- * one queue per shard, above this layer.
+ * are broken by a (lane, seq) key fixed at schedule time: a lane is a
+ * node-confined scheduling stream (lane = NodeId + 1; lane 0 is the
+ * driver/default) and seq is the queue's schedule counter, so
+ * same-tick events run lane by lane, each lane in schedule order.
+ * With everything on lane 0 (the default), keys reduce to plain
+ * insertion order.  The queue is strictly single-threaded.
  *
  * Internally this is a three-level calendar / timer-wheel hybrid with
  * a far-horizon overflow heap, replacing the original binary heap:
@@ -114,26 +107,13 @@ class EventQueue
      */
     std::uint32_t currentLane() const { return currentLane_; }
 
-    /**
-     * Draw the next sequence number on @p lane.  Public so the shard
-     * engine can fix a cross-shard event's key on the *source* shard
-     * (where the draw is deterministic) before mailing it.
-     */
-    std::uint64_t
-    drawSeq(std::uint32_t lane)
-    {
-        if (lane >= laneSeq_.size())
-            laneSeq_.resize(lane + 1, 0);
-        return laneSeq_[lane]++;
-    }
-
     /** Schedule @p fn to run at absolute time @p when. */
     template <typename F>
     TimerHandle
     schedule(Tick when, F &&fn)
     {
-        return injectKeyed(when, currentLane_, drawSeq(currentLane_),
-                           currentLane_, std::forward<F>(fn));
+        return insert(when, currentLane_, currentLane_,
+                      std::forward<F>(fn));
     }
 
     /**
@@ -145,46 +125,20 @@ class EventQueue
     TimerHandle
     scheduleLane(Tick when, std::uint32_t lane, F &&fn)
     {
-        return injectKeyed(when, lane, drawSeq(lane), lane,
-                           std::forward<F>(fn));
+        return insert(when, lane, lane, std::forward<F>(fn));
     }
 
     /**
-     * Schedule across a node boundary: the key is drawn on the sender
-     * lane @p prioLane (so it is fixed by the sender's deterministic
-     * stream) while the callback executes under @p execLane (the
-     * receiver).  The switch uses this for every forwarded burst.
+     * Schedule across a node boundary: the event orders on the sender
+     * lane @p prioLane while the callback executes under @p execLane
+     * (the receiver).  The switch uses this for every forwarded burst.
      */
     template <typename F>
     TimerHandle
     scheduleCross(Tick when, std::uint32_t prioLane,
                   std::uint32_t execLane, F &&fn)
     {
-        return injectKeyed(when, prioLane, drawSeq(prioLane), execLane,
-                           std::forward<F>(fn));
-    }
-
-    /**
-     * Insert an event whose full key (when, lane, seq) was already
-     * drawn elsewhere — on another shard's queue, for cross-shard
-     * mailbox delivery at a horizon barrier.  Injection *order* is
-     * irrelevant: the key alone decides execution order.
-     */
-    template <typename F>
-    TimerHandle
-    injectKeyed(Tick when, std::uint32_t lane, std::uint64_t seq,
-                std::uint32_t execLane, F &&fn)
-    {
-        simAssert(when >= now_, "event scheduled in the past");
-        Node *n = allocNode();
-        n->when = when;
-        n->seq = seq;
-        n->lane = lane;
-        n->execLane = execLane;
-        n->fn.emplace(std::forward<F>(fn));
-        place(n);
-        ++size_;
-        return TimerHandle(n, n->gen);
+        return insert(when, prioLane, execLane, std::forward<F>(fn));
     }
 
     /** Schedule @p fn to run @p delay ticks from now. */
@@ -464,6 +418,23 @@ class EventQueue
         }
     };
 
+    /** Key, fill and file a new event. */
+    template <typename F>
+    TimerHandle
+    insert(Tick when, std::uint32_t lane, std::uint32_t execLane, F &&fn)
+    {
+        simAssert(when >= now_, "event scheduled in the past");
+        Node *n = allocNode();
+        n->when = when;
+        n->seq = seq_++;
+        n->lane = lane;
+        n->execLane = execLane;
+        n->fn.emplace(std::forward<F>(fn));
+        place(n);
+        ++size_;
+        return TimerHandle(n, n->gen);
+    }
+
     // ---- node arena -------------------------------------------------
 
     Node *
@@ -499,9 +470,9 @@ class EventQueue
     // ---- intrusive bucket lists ------------------------------------
 
     /**
-     * Insert in key order.  Local schedules draw ascending seqs, so
-     * the scan from the tail is O(1) in steady state; only barrier
-     * injection of foreign-lane keys ever walks further.
+     * Insert in key order.  Seqs ascend, so the scan from the tail is
+     * O(1) unless a bucket already holds higher-lane events at the
+     * same tick.
      */
     static void
     listInsert(List &l, Node *n)
@@ -810,8 +781,8 @@ class EventQueue
     mutable Node *freeHead_ = nullptr;
 
     Tick now_{};
-    /** Per-lane sequence counters (index = lane). */
-    std::vector<std::uint64_t> laneSeq_;
+    /** Schedule counter: the seq of the next event. */
+    std::uint64_t seq_ = 0;
     std::uint32_t currentLane_ = 0;
     std::uint64_t executed_ = 0;
     std::size_t size_ = 0;

@@ -29,7 +29,6 @@
 #include <cstdint>
 #include <map>
 #include <memory>
-#include <mutex>
 #include <string>
 #include <vector>
 
@@ -143,16 +142,12 @@ class FaultInjector : public telemetry::Instrumented
     void setDefaultConfig(const FaultSiteConfig &cfg) { defaultCfg_ = cfg; }
 
     /**
-     * Get or create the site named @p name.  Creation is serialized:
-     * shard workers fault-in their per-link sites lazily and may race
-     * on the directory (never on a site — each site's RNG stream is
-     * drawn from a single node's execution).  A site's seed depends
+     * Get or create the site named @p name.  A site's seed depends
      * only on its name, so creation *order* does not matter.
      */
     FaultSite &
     site(const std::string &name)
     {
-        std::lock_guard<std::mutex> lk(sitesMu_);
         auto it = sites_.find(name);
         if (it == sites_.end()) {
             it = sites_
@@ -359,8 +354,6 @@ class FaultInjector : public telemetry::Instrumented
     FaultSiteConfig defaultCfg_;
     // std::map: deterministic iteration order for stats registration.
     std::map<std::string, std::unique_ptr<FaultSite>> sites_;
-    /** Guards the sites_ directory (not the sites themselves). */
-    std::mutex sitesMu_;
     std::vector<OutageWindow> outages_;
     /** node → merged windows sorted by start (nodeDown fast path). */
     std::map<std::uint32_t, std::vector<OutageWindow>> index_;

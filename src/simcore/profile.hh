@@ -20,7 +20,7 @@
  * (stack, category): `frames;...;[cat] <ticks>` — which
  * `flamegraph.pl` and speedscope render directly.  Lines are sorted
  * lexically and counts are simulated ticks, so the bytes are
- * reproducible run to run and across `--shards` counts.
+ * reproducible run to run.
  *
  * Costs: nothing on the span hot path (begin/end span never touch the
  * profiler), allocation only at request finalize (one string per tree

@@ -22,7 +22,6 @@
 #include "simcore/coro.hh"
 #include "simcore/event_queue.hh"
 #include "simcore/reqtrace.hh"
-#include "simcore/runner.hh"
 #include "simcore/telemetry/registry.hh"
 #include "simcore/types.hh"
 
@@ -38,14 +37,14 @@ namespace ioat::sim {
  *   sim.runFor(seconds(1));
  * @endcode
  */
-class Simulation : public Runner
+class Simulation
 {
   public:
     Simulation() = default;
     Simulation(const Simulation &) = delete;
     Simulation &operator=(const Simulation &) = delete;
 
-    ~Simulation() override
+    ~Simulation()
     {
         // Drop pending events first: they may hold handles into frames
         // the root teardown below is about to destroy.
@@ -62,7 +61,7 @@ class Simulation : public Runner
     }
 
     EventQueue &queue() { return eq_; }
-    Tick now() const override { return eq_.now(); }
+    Tick now() const { return eq_.now(); }
 
     /**
      * Component directory for the telemetry hierarchy walk: top-level
@@ -104,9 +103,8 @@ class Simulation : public Runner
     /**
      * Start a detached coroutine on an explicit lane (see
      * event_queue.hh): node-affine work spawned by the lane-0 driver
-     * gets the node's lane so its whole activity stream carries a
-     * partition-invariant ordering key.  `Node::spawn` is the usual
-     * caller.
+     * gets the node's lane, and so does everything it schedules.
+     * `Node::spawn` is the usual caller.
      */
     void
     spawnLane(std::uint32_t lane, Coro<void> body)
@@ -150,15 +148,12 @@ class Simulation : public Runner
     /** @name Event-loop drivers (see EventQueue)
      *  @{ */
     void runFor(Tick duration) { eq_.runFor(duration); }
-    void runUntil(Tick when) override { eq_.runUntil(when); }
+    void runUntil(Tick when) { eq_.runUntil(when); }
     std::uint64_t run(std::uint64_t limit = ~std::uint64_t{0})
     {
         return eq_.run(limit);
     }
-    std::uint64_t executedEvents() const override
-    {
-        return eq_.executedEvents();
-    }
+    std::uint64_t executedEvents() const { return eq_.executedEvents(); }
     /** @} */
 
   private:

@@ -14,8 +14,6 @@
 #include "simcore/log.hh"
 #include "simcore/mutex.hh"
 #include "simcore/random.hh"
-#include "simcore/runner.hh"
-#include "simcore/shard.hh"
 #include "simcore/sim.hh"
 #include "simcore/stats.hh"
 #include "simcore/sync.hh"

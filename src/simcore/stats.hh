@@ -11,7 +11,6 @@
 #define IOAT_SIMCORE_STATS_HH
 
 #include <algorithm>
-#include <atomic>
 #include <cmath>
 #include <cstdint>
 #include <limits>
@@ -25,76 +24,18 @@
 namespace ioat::sim::stats {
 
 /**
- * Monotonic event counter.
- *
- * Increments are relaxed atomics: counting is commutative, so shard
- * workers (simcore/shard.hh) bump shared counters concurrently and
- * the total is partition-invariant.  Reads taken while workers run
- * are racy snapshots; every reported value is read at a horizon
- * barrier (or after the run), where the shard engine's join provides
- * the happens-before edge.
+ * Monotonic event counter.  Model code is single-threaded, so this is
+ * a plain integer: counting an event costs one add.
  */
 class Counter
 {
   public:
-    Counter() = default;
-    Counter(const Counter &o) : value_(o.value()) {}
-    Counter &
-    operator=(const Counter &o)
-    {
-        value_.store(o.value(), std::memory_order_relaxed);
-        return *this;
-    }
-
-    void
-    inc(std::uint64_t n = 1)
-    {
-        value_.fetch_add(n, std::memory_order_relaxed);
-    }
-
-    std::uint64_t
-    value() const
-    {
-        return value_.load(std::memory_order_relaxed);
-    }
-
-    void reset() { value_.store(0, std::memory_order_relaxed); }
+    void inc(std::uint64_t n = 1) { value_ += n; }
+    std::uint64_t value() const { return value_; }
+    void reset() { value_ = 0; }
 
   private:
-    std::atomic<std::uint64_t> value_{0};
-};
-
-/**
- * A cross-thread boolean signal ("stop requested").  The sanctioned
- * wrapper for flag state shared between the driver and node-affine
- * coroutines, so model code never touches raw atomics (the simlint
- * raw-threading rule keeps threading primitives inside src/simcore).
- */
-class Flag
-{
-  public:
-    void set(bool v = true) { v_.store(v, std::memory_order_relaxed); }
-    bool get() const { return v_.load(std::memory_order_relaxed); }
-    explicit operator bool() const { return get(); }
-
-  private:
-    std::atomic<bool> v_{false};
-};
-
-/** A cross-thread gauge (live thread count, open connections). */
-class Level
-{
-  public:
-    void inc() { v_.fetch_add(1, std::memory_order_relaxed); }
-    void dec() { v_.fetch_sub(1, std::memory_order_relaxed); }
-    std::uint64_t
-    value() const
-    {
-        return v_.load(std::memory_order_relaxed);
-    }
-
-  private:
-    std::atomic<std::uint64_t> v_{0};
+    std::uint64_t value_ = 0;
 };
 
 /** Running summary of a sampled quantity (mean/min/max/stddev). */
@@ -140,10 +81,9 @@ class Accumulator
 
     /**
      * Fold another accumulator into this one.  Used to combine
-     * per-node partials in a fixed (node-index) order, which keeps
-     * the floating-point sums bit-identical across shard counts —
-     * sampling into one shared accumulator from several shards would
-     * not be.
+     * per-node partials in a fixed (node-index) order: floating-point
+     * sums depend on the order of their terms, so the merge order is
+     * part of the result.
      */
     void
     merge(const Accumulator &o)

@@ -27,7 +27,6 @@
 #ifndef IOAT_SIMCORE_TELEMETRY_REGISTRY_HH
 #define IOAT_SIMCORE_TELEMETRY_REGISTRY_HH
 
-#include <algorithm>
 #include <cstdint>
 #include <deque>
 #include <functional>
@@ -200,24 +199,6 @@ class Registry
     }
     /** @} */
 
-    /**
-     * Sort every table by qualified name.  A registry built by
-     * walking *several* hubs (one per shard of a partitioned cluster)
-     * sees components in shard order, which depends on the partition;
-     * sorting restores a shard-count-invariant capture order.
-     */
-    void
-    sortByName()
-    {
-        const auto byName = [](const auto &a, const auto &b) {
-            return a.name < b.name;
-        };
-        std::sort(scalars_.begin(), scalars_.end(), byName);
-        std::sort(probes_.begin(), probes_.end(), byName);
-        std::sort(histograms_.begin(), histograms_.end(), byName);
-        std::sort(flowSources_.begin(), flowSources_.end(), byName);
-    }
-
     /** @name Access (Sampler, RunReport, tests)
      *  @{ */
     const std::vector<Scalar> &scalars() const { return scalars_; }
@@ -277,11 +258,10 @@ class Hub
     }
 
     /**
-     * Register under an exact, caller-chosen name.  Components with a
-     * cluster-global identity (nodes, keyed by switch-port id) use
-     * this so their telemetry names stay stable when the cluster is
-     * partitioned across several Simulations, each with its own Hub —
-     * per-hub auto-numbering would restart on every shard.
+     * Register under an exact, caller-chosen name.  Components with
+     * an identity of their own (nodes, keyed by switch-port id) use
+     * this so their telemetry name matches that identity rather than
+     * their registration order.
      */
     std::string
     addNamed(std::string name, Instrumented *c)

@@ -14,39 +14,27 @@
  * Determinism contract (pinned by `ctest -L profile`):
  *
  *  - sampling is event-queue driven at fixed ticks, never wall-clock;
- *  - on a sharded run each shard samples its *own* components from a
- *    lane-0 event on its *own* queue.  Lane 0 sorts before every node
- *    lane, so a sample at tick T observes exactly the state after all
- *    events < T and before any node event at T — the same cut in
- *    every partitioning.  Model snapshot bytes are therefore
- *    byte-identical across `--shards {1,2,4}`;
- *  - the fabric (switch) spans shards and its counters move under
- *    other shards' workers mid-window, so it is excluded from
- *    snapshots entirely (its totals live in the RunReport, captured
- *    after the run when everything is quiescent);
- *  - engine metrics (wheel depths, executed events, live tasks,
- *    barrier counts) describe the *simulator*, not the model, and
- *    legitimately differ across shard counts — they are emitted only
- *    with Config::engine and are exempt from the cross-shard byte
- *    gate.
+ *  - samples are taken by a lane-0 event.  Lane 0 sorts before every
+ *    node lane, so a sample at tick T observes exactly the state after
+ *    all events < T and before any node event at T, and the bytes are
+ *    identical across reruns;
+ *  - engine metrics (wheel depths, executed events, live tasks)
+ *    describe the *simulator*, not the model — they are emitted only
+ *    with Config::engine.
  */
 
 #ifndef IOAT_SIMCORE_TELEMETRY_SNAPSHOT_HH
 #define IOAT_SIMCORE_TELEMETRY_SNAPSHOT_HH
 
-#include <algorithm>
 #include <cstdint>
 #include <fstream>
 #include <functional>
 #include <map>
-#include <memory>
 #include <ostream>
 #include <string>
-#include <string_view>
 #include <vector>
 
 #include "simcore/assert.hh"
-#include "simcore/shard.hh"
 #include "simcore/sim.hh"
 #include "simcore/telemetry/registry.hh"
 
@@ -59,44 +47,50 @@ class MetricsSnapshot
     {
         /** Spacing between snapshots (> 0). */
         Tick interval = microseconds(100);
-        /** Stop after this many snapshot ticks per shard. */
+        /** Stop after this many snapshot ticks. */
         std::size_t maxSnapshots = 4096;
         /** Also emit the engine (simulator-internals) section. */
         bool engine = false;
     };
 
-    /** Snapshot a single-Simulation run. */
-    MetricsSnapshot(Simulation &sim, Config cfg) : cfg_(cfg)
+    MetricsSnapshot(Simulation &sim, Config cfg) : cfg_(cfg), sim_(sim)
     {
         simAssert(cfg_.interval > Tick{0},
                   "snapshot interval must be > 0");
-        addShard(sim);
-        armAll();
-    }
-
-    /** Snapshot a sharded run: every shard samples its own hub. */
-    MetricsSnapshot(ShardGroup &group, Config cfg)
-        : cfg_(cfg), group_(&group)
-    {
-        simAssert(cfg_.interval > Tick{0},
-                  "snapshot interval must be > 0");
-        for (unsigned i = 0; i < group.shardCount(); ++i)
-            addShard(group.shard(i));
-        armAll();
+        sim.telemetry().instrumentAll(reg_);
+        for (const auto &s : reg_.scalars())
+            addMetric(s.name, s.description, "counter",
+                      [read = s.read] { return read(); });
+        for (const auto &p : reg_.probes())
+            addMetric(p.name, p.description,
+                      p.kind == ProbeKind::delta ? "counter" : "gauge",
+                      [read = p.read] { return read(); });
+        if (cfg_.engine) {
+            EventQueue &q = sim.queue();
+            addEngine("queueDepthL0", "gauge", [&q] {
+                return static_cast<double>(q.l0Depth());
+            });
+            addEngine("queueDepthL1", "gauge", [&q] {
+                return static_cast<double>(q.l1Depth());
+            });
+            addEngine("queueDepthL2", "gauge", [&q] {
+                return static_cast<double>(q.l2Depth());
+            });
+            addEngine("queueDepthHeap", "gauge", [&q] {
+                return static_cast<double>(q.heapDepth());
+            });
+            addEngine("executedEvents", "counter", [&q] {
+                return static_cast<double>(q.executedEvents());
+            });
+            addEngine("liveTasks", "gauge", [&sim] {
+                return static_cast<double>(sim.liveRootTasks());
+            });
+        }
+        arm();
     }
 
     MetricsSnapshot(const MetricsSnapshot &) = delete;
     MetricsSnapshot &operator=(const MetricsSnapshot &) = delete;
-
-    /** Snapshot ticks taken so far, summed over shards. */
-    std::size_t
-    sampleCount() const
-    {
-        std::size_t n = 0;
-        for (const auto &sh : shards_)
-            n += sh->taken;
-        return n;
-    }
 
     /**
      * OpenMetrics text exposition: `# HELP`/`# TYPE` per family, then
@@ -160,30 +154,8 @@ class MetricsSnapshot
             writeText(out);
     }
 
-    /**
-     * Capture the end-of-run engine totals that may not be read from
-     * inside a window (the shard group's coordinator state).  Call
-     * once, after the run, from the driver thread.  No-op unless
-     * Config::engine.
-     */
-    void
-    captureFinal()
-    {
-        if (!cfg_.engine || finalDone_)
-            return;
-        finalDone_ = true;
-        if (group_) {
-            finals_.push_back(
-                {"ioat_engine_barriers", "group",
-                 static_cast<double>(group_->barriers())});
-            finals_.push_back(
-                {"ioat_engine_crossEvents", "group",
-                 static_cast<double>(group_->crossEvents())});
-        }
-    }
-
   private:
-    /** One metric a shard samples every snapshot tick. */
+    /** One metric sampled every snapshot tick. */
     struct Metric
     {
         std::string family;   ///< ioat_-prefixed OpenMetrics name
@@ -191,7 +163,6 @@ class MetricsSnapshot
         std::string help;
         const char *type; ///< "gauge" or "counter"
         std::function<double()> read;
-        bool engine; ///< engine section (shard-count-variant)
     };
 
     struct Rec
@@ -201,74 +172,11 @@ class MetricsSnapshot
         double value;
     };
 
-    /** Everything one shard owns; samples only touched by its queue. */
-    struct Shard
-    {
-        Simulation *sim = nullptr;
-        Registry reg; ///< keeps probe read-lambdas alive
-        std::vector<Metric> metrics;
-        std::vector<Rec> recs;
-        std::size_t taken = 0;
-    };
-
-    struct FinalRec
-    {
-        std::string family;
-        std::string instance;
-        double value;
-    };
-
+    /** Register one model metric from its dotted registry name. */
     void
-    addShard(Simulation &sim)
+    addMetric(const std::string &qualified, const std::string &help,
+              const char *type, std::function<double()> read)
     {
-        shards_.push_back(std::make_unique<Shard>());
-        Shard &sh = *shards_.back();
-        sh.sim = &sim;
-        sim.telemetry().instrumentAll(sh.reg);
-        for (const auto &s : sh.reg.scalars())
-            addMetric(sh, s.name, s.description, "counter",
-                      [read = s.read] { return read(); });
-        for (const auto &p : sh.reg.probes())
-            addMetric(sh, p.name, p.description,
-                      p.kind == ProbeKind::delta ? "counter" : "gauge",
-                      [read = p.read] { return read(); });
-        if (cfg_.engine) {
-            const std::string inst =
-                "shard" + std::to_string(shards_.size() - 1);
-            EventQueue &q = sim.queue();
-            addEngine(sh, "queueDepthL0", inst, "gauge", [&q] {
-                return static_cast<double>(q.l0Depth());
-            });
-            addEngine(sh, "queueDepthL1", inst, "gauge", [&q] {
-                return static_cast<double>(q.l1Depth());
-            });
-            addEngine(sh, "queueDepthL2", inst, "gauge", [&q] {
-                return static_cast<double>(q.l2Depth());
-            });
-            addEngine(sh, "queueDepthHeap", inst, "gauge", [&q] {
-                return static_cast<double>(q.heapDepth());
-            });
-            addEngine(sh, "executedEvents", inst, "counter", [&q] {
-                return static_cast<double>(q.executedEvents());
-            });
-            addEngine(sh, "liveTasks", inst, "gauge", [&sim] {
-                return static_cast<double>(sim.liveRootTasks());
-            });
-        }
-    }
-
-    /**
-     * Register one model metric from its dotted registry name.  The
-     * fabric is skipped (cross-shard state; see file comment) so the
-     * model section is the same metric set at every shard count.
-     */
-    void
-    addMetric(Shard &sh, const std::string &qualified,
-              const std::string &help, const char *type,
-              std::function<double()> read)
-    {
-        if (qualified.rfind("fabric", 0) == 0)
-            return;
         const std::size_t dot = qualified.find('.');
         std::string instance =
             dot == std::string::npos ? std::string("sim")
@@ -279,43 +187,33 @@ class MetricsSnapshot
         for (char &c : metric)
             if (c == '.')
                 c = '_';
-        sh.metrics.push_back(Metric{"ioat_" + metric,
-                                    std::move(instance), help, type,
-                                    std::move(read), false});
+        metrics_.push_back(Metric{"ioat_" + metric, std::move(instance),
+                                  help, type, std::move(read)});
     }
 
     void
-    addEngine(Shard &sh, const char *name, const std::string &inst,
-              const char *type, std::function<double()> read)
+    addEngine(const char *name, const char *type,
+              std::function<double()> read)
     {
-        sh.metrics.push_back(Metric{std::string("ioat_engine_") + name,
-                                    inst, "simulator engine internals",
-                                    type, std::move(read), true});
-    }
-
-    void
-    armAll()
-    {
-        for (auto &sh : shards_)
-            arm(*sh);
+        metrics_.push_back(Metric{std::string("ioat_engine_") + name,
+                                  "sim", "simulator engine internals",
+                                  type, std::move(read)});
     }
 
     /**
-     * Self-rearming lane-0 snapshot event on the shard's own queue.
-     * Setup and rearm both run on lane 0, so scheduleIn draws the
-     * lane-0 key that makes the T-tick cut partition-invariant.
+     * Self-rearming lane-0 snapshot event.  Setup and rearm both run
+     * on lane 0, so every sample sorts before node work at its tick.
      */
     void
-    arm(Shard &sh)
+    arm()
     {
-        sh.sim->queue().scheduleIn(cfg_.interval, [this, &sh] {
-            const Tick now = sh.sim->now();
+        sim_.queue().scheduleIn(cfg_.interval, [this] {
+            const Tick now = sim_.now();
             for (std::uint32_t i = 0;
-                 i < static_cast<std::uint32_t>(sh.metrics.size()); ++i)
-                sh.recs.push_back(
-                    Rec{i, now, sh.metrics[i].read()});
-            if (++sh.taken < cfg_.maxSnapshots)
-                arm(sh);
+                 i < static_cast<std::uint32_t>(metrics_.size()); ++i)
+                recs_.push_back(Rec{i, now, metrics_[i].read()});
+            if (++taken_ < cfg_.maxSnapshots)
+                arm();
         });
     }
 
@@ -335,42 +233,18 @@ class MetricsSnapshot
         }
     };
 
-    /** Merge every shard's records into sorted (family, instance)
-     *  rows.  Node instances are cluster-unique; should two shards
-     *  ever share an auto-indexed service name, the stable per-tick
-     *  sort (shard order breaks ties) keeps the bytes deterministic
-     *  anyway. */
+    /** Group the records into sorted (family, instance) rows; each
+     *  row keeps its records in tick order. */
     std::map<RowKey, std::vector<Rec>>
     collect() const
     {
         std::map<RowKey, std::vector<Rec>> rows;
-        for (const auto &sh : shards_) {
-            for (const auto &rec : sh->recs) {
-                const Metric &m = sh->metrics[rec.metric];
-                if (m.engine && !cfg_.engine)
-                    continue;
-                rows[RowKey{m.family, m.instance, m.help, m.type}]
-                    .push_back(rec);
-            }
-        }
-        for (const auto &f : finals_)
-            rows[RowKey{f.family, f.instance,
-                        "simulator engine internals", "counter"}]
-                .push_back(Rec{0, lastTick(), f.value});
-        for (auto &[key, recs] : rows) {
-            (void)key;
-            std::stable_sort(recs.begin(), recs.end(),
-                             [](const Rec &a, const Rec &b) {
-                                 return a.when < b.when;
-                             });
+        for (const auto &rec : recs_) {
+            const Metric &m = metrics_[rec.metric];
+            rows[RowKey{m.family, m.instance, m.help, m.type}]
+                .push_back(rec);
         }
         return rows;
-    }
-
-    Tick
-    lastTick() const
-    {
-        return group_ ? group_->now() : shards_[0]->sim->now();
     }
 
     /** Integers stay integral; everything model-side is integral. */
@@ -385,10 +259,11 @@ class MetricsSnapshot
     }
 
     Config cfg_;
-    ShardGroup *group_ = nullptr;
-    std::vector<std::unique_ptr<Shard>> shards_;
-    std::vector<FinalRec> finals_;
-    bool finalDone_ = false;
+    Simulation &sim_;
+    Registry reg_; ///< keeps probe read-lambdas alive
+    std::vector<Metric> metrics_;
+    std::vector<Rec> recs_;
+    std::size_t taken_ = 0;
 };
 
 } // namespace ioat::sim::telemetry

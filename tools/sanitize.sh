@@ -1,44 +1,16 @@
 #!/bin/sh
-# Build the whole tree under a sanitizer and run the test suite.
+# Build the whole tree under ASan+UBSan and run the test suite.
 #
-# Usage: tools/sanitize.sh [--tsan] [ctest args...]
-#   tools/sanitize.sh                 # ASan+UBSan, full suite
-#   tools/sanitize.sh -L golden       # ASan+UBSan, just the goldens
-#   tools/sanitize.sh --tsan          # ThreadSanitizer, `ctest -L shard`
-#   tools/sanitize.sh --tsan -R Stress  # narrower still
+# Usage: tools/sanitize.sh [ctest args...]
+#   tools/sanitize.sh                 # full suite
+#   tools/sanitize.sh -L golden       # just the goldens
 #
-# The ASan build lives in build-san/ and the TSan build in
-# build-tsan/, separate from the normal build/ so all three can
-# coexist.  Any sanitizer report is fatal
+# The build lives in build-san/, separate from the normal build/ so
+# both can coexist.  Any sanitizer report is fatal
 # (-fno-sanitize-recover=all), so a clean run means a clean tree.
-#
-# --tsan exists for the sharded executor: the worker/barrier/mailbox
-# protocol in src/simcore/shard.hh is the only intentionally
-# multi-threaded code in the tree, and `ctest -L shard` is the suite
-# that drives it, so that label is the TSan default when no ctest
-# args are given.  The shard stress sweep is trimmed under TSan
-# (IOAT_SHARD_STRESS_QUICK) — each run costs ~20x.
 set -eu
 
 repo=$(CDPATH= cd -- "$(dirname -- "$0")/.." && pwd)
-
-mode=asan
-if [ "${1:-}" = "--tsan" ]; then
-    mode=tsan
-    shift
-fi
-
-if [ "$mode" = tsan ]; then
-    build="$repo/build-tsan"
-    cmake -B "$build" -S "$repo" -DIOAT_TSAN=ON
-    cmake --build "$build" -j "$(nproc)"
-    [ "$#" -gt 0 ] || set -- -L shard
-    TSAN_OPTIONS="${TSAN_OPTIONS:-halt_on_error=1 second_deadlock_stack=1}" \
-    IOAT_SHARD_STRESS_QUICK=1 \
-        ctest --test-dir "$build" --output-on-failure "$@"
-    exit 0
-fi
-
 build="$repo/build-san"
 
 cmake -B "$build" -S "$repo" -DIOAT_SANITIZE=ON

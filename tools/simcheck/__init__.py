@@ -3,9 +3,9 @@
 Semantic sibling of tools/simlint.py: where simlint pattern-matches
 tokens, simcheck works from `compile_commands.json`, type-checks every
 translation unit, and enforces rules that need symbol tables and an
-include graph (coroutine lifetime, strong-type escapes, shard safety,
-layering).  See rules.py for the catalog and DESIGN.md §11 for the
-narrative.
+include graph (coroutine lifetime, strong-type escapes, mutable
+statics, layering).  See rules.py for the catalog and DESIGN.md §10
+for the narrative.
 
 Two frontends share one rule engine and one fixture suite:
 
@@ -22,4 +22,4 @@ Run as `python3 tools/simcheck` (see __main__.py for the CLI).
 
 __version__ = "1.0"
 
-SCHEMA_VERSION = 5  # bump to invalidate cached per-file scans
+SCHEMA_VERSION = 6  # bump to invalidate cached per-file scans

@@ -50,7 +50,7 @@ _ORDERED_HEADS = {
     "array", "string", "basic_string",
 }
 SANCTIONED_STATIC_RE = re.compile(
-    r"\bstats\s*::\s*(?:Counter|Flag|Level|Accumulator)\b")
+    r"\bstats\s*::\s*(?:Counter|Accumulator)\b")
 
 _TYPE_HEAD_SKIP = {
     "const", "constexpr", "constinit", "inline", "static", "extern",

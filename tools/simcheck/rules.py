@@ -5,7 +5,7 @@ produce findings.  Path classification (which layer a file belongs
 to) lives here so both frontends share one definition of the
 architecture.
 
-Rule catalog (DESIGN.md §11 is the narrative version):
+Rule catalog (DESIGN.md §10 is the narrative version):
 
   coro-lifetime   A detached coroutine (spawn/spawnLane) must not hold
                   references into a frame that can die before it runs:
@@ -37,12 +37,15 @@ Rule catalog (DESIGN.md §11 is the narrative version):
                   (the event queue's bit-level tick indexing is the
                   documented exemption).
 
-  shard-safety    Model code runs replicated across shard workers, so
-                  mutable static-storage state outside src/simcore/
-                  (namespace-scope variables, static data members,
-                  function-local statics) breaks shard equivalence
-                  unless it is one of the sanctioned wrappers
-                  (sim::stats::Counter/Flag/Level/Accumulator).
+  shard-safety    Model code is single-threaded and Simulations in one
+                  process share no state: perfbench and the goldens
+                  re-run whole sweeps in one process and require
+                  identical digests.  Mutable static-storage state
+                  outside src/simcore/ (namespace-scope variables,
+                  static data members, function-local statics) would
+                  leak from one Simulation into the next unless it is
+                  one of the sanctioned stats types
+                  (sim::stats::Counter/Accumulator).
                   Also: iteration over a container whose *type*
                   resolves to std::unordered_* through aliases or
                   auto — the spelled-out case is simlint's, the typed
@@ -250,10 +253,9 @@ def check_shard_safety(statics, iter_sites, unordered_names):
         findings.append(Finding(
             "shard-safety", f["file"], f["line"],
             f"mutable {where} '{f['name']}' ({f['type']}) outside "
-            f"src/simcore/; shard workers replicate model code, so "
-            f"shared mutable state must be a sanctioned wrapper "
-            f"(sim::stats::Counter/Flag/Level/Accumulator) or "
-            f"per-node partials merged in node order"))
+            f"src/simcore/; Simulations in one process must share "
+            f"no state, so keep it per component or use a sanctioned "
+            f"stats type (sim::stats::Counter/Accumulator)"))
     for s in iter_sites:
         if s.get("unordered", s["name"] in unordered_names):
             findings.append(Finding(

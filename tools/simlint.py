@@ -38,12 +38,11 @@ Rules
                   String *formatting* (strprintf/vsnprintf) is fine.
   raw-thread      no std::thread/mutex/condition_variable/atomic,
                   thread_local, locks or futures outside src/simcore/:
-                  the sharded executor (shard.hh) owns ALL real
-                  concurrency, and model code stays single-threaded
-                  per shard so shard-equivalence (ctest -L shard) can
-                  hold.  Model-visible shared state goes through the
-                  wrappers in src/simcore/stats.hh (Counter, Flag,
-                  Level) or per-node partials merged in node order.
+                  model code is single-threaded, and Simulations in
+                  one process share no state, so a run's results
+                  cannot depend on thread timing.  Whatever threading
+                  the engine needs (the coroutine arena's thread-local
+                  free lists) lives in src/simcore/.
 
 Suppressions
 ------------
@@ -95,9 +94,8 @@ EXEMPT = {
 
 # Directories whose whole subtree is the sanctioned implementation.
 EXEMPT_DIRS = {
-    # simcore owns the executor: the shard workers/barrier/mailboxes,
-    # the coroutine arena's thread-local free lists and the atomic
-    # stats wrappers are exactly the code the rule funnels others to.
+    # simcore owns the engine: the coroutine arena's thread-local free
+    # lists are exactly the code the rule funnels others to.
     "raw-thread": ("src/simcore/",),
 }
 
@@ -256,10 +254,9 @@ def lint_file(path, rel):
         if not exempt("raw-thread") and RAW_THREAD_RE.search(line):
             report(
                 lineno, "raw-thread",
-                "raw threading primitive; real concurrency lives only "
-                "in src/simcore/ (the sharded executor) — use "
-                "sim::stats::Counter/Flag/Level or per-node partials "
-                "for shared state",
+                "raw threading primitive; model code is "
+                "single-threaded and Simulations share no state — "
+                "engine-level threading lives only in src/simcore/",
             )
         if not exempt("float-tick") and FLOAT_TICK_RE.search(line):
             report(
