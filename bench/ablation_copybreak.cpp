@@ -43,8 +43,6 @@ run(std::size_t copybreak, std::size_t msg,
     meter.warmup(sim::milliseconds(100), {&client, &server});
     meter.run(sim::milliseconds(400));
 
-    if (report)
-        report->noteEvents(sim.executedEvents());
     if (tr)
         tr->finish({{"copybreak", std::to_string(copybreak)},
                     {"msgBytes", std::to_string(msg)}});

@@ -49,8 +49,6 @@ run(core::IoatConfig features, const Options *report = nullptr)
     meter.run(sim::milliseconds(400));
     const std::uint64_t rx1 = server.stack().rxPayloadBytes();
 
-    if (report)
-        report->noteEvents(sim.executedEvents());
     if (tr)
         tr->finish(
             {{"dma", features.dmaEngine ? "true" : "false"},

@@ -54,8 +54,6 @@ run(bool multi_queue, unsigned flows, std::size_t msg,
     meter.run(sim::milliseconds(400));
     const std::uint64_t rx1 = server.stack().rxPayloadBytes();
 
-    if (report)
-        report->noteEvents(sim.executedEvents());
     if (tr)
         tr->finish({{"multiQueue", multi_queue ? "true" : "false"},
                     {"flows", std::to_string(flows)},

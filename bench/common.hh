@@ -333,23 +333,13 @@ class Options
 
     int exitCode() const { return exitCode_; }
 
-    /** @name Perf trajectory (BENCH_<bench>.json)
-     *  @{ */
-    /** Add simulator events executed by one of the bench's runs.
-     *  Called from run bodies (hence const + mutable accumulator);
-     *  benchMain folds the total into the trajectory JSON. */
-    void noteEvents(std::uint64_t n) const { eventsNoted_ += n; }
-
-    std::uint64_t eventsNoted() const { return eventsNoted_; }
-
-    /** Trajectory output path ("" = BENCH_<bench>.json). */
+    /** Perf-trajectory output path ("" = BENCH_<bench>.json). */
     std::string
     benchJsonPath() const
     {
         return benchJson_.empty() ? "BENCH_" + bench_ + ".json"
                                   : benchJson_;
     }
-    /** @} */
 
     void
     usage(std::FILE *out) const
@@ -479,9 +469,6 @@ class Options
     std::string transport_;
     std::vector<Knob> knobs_;
     int exitCode_ = 0;
-    /** Simulator events the bench body reported via noteEvents():
-     *  mutable so run functions taking `const Options&` can report. */
-    mutable std::uint64_t eventsNoted_ = 0;
 };
 
 /** Peak resident set in bytes (ru_maxrss is KiB on Linux). */
@@ -503,12 +490,12 @@ peakRssBytes()
  * silently (no stdout) so bench-table golden digests are untouched.
  */
 inline void
-writeBenchJson(const Options &opts, double wall_seconds)
+writeBenchJson(const Options &opts, std::uint64_t events,
+               double wall_seconds)
 {
     std::ofstream out(opts.benchJsonPath());
     if (!out)
         return;
-    const std::uint64_t events = opts.eventsNoted();
     const double eps =
         wall_seconds > 0.0
             ? static_cast<double>(events) / wall_seconds
@@ -531,7 +518,8 @@ writeBenchJson(const Options &opts, double wall_seconds)
  * Parse flags, then run the bench body.  The body receives the parsed
  * Options and returns the process exit code.  On success the
  * perf-trajectory JSON (BENCH_<bench>.json) is written with the
- * body's wall time and whatever events the body noteEvents()ed.
+ * body's wall time and every event its simulations executed, counted
+ * at the source as each event queue is destroyed.
  */
 inline int
 benchMain(int argc, char **argv, Options &opts,
@@ -539,12 +527,13 @@ benchMain(int argc, char **argv, Options &opts,
 {
     if (!opts.parse(argc, argv))
         return opts.exitCode();
+    const std::uint64_t events0 = sim::EventQueue::retiredEvents();
     const auto wall0 = std::chrono::steady_clock::now();
     const int rc = body(opts);
     const auto wall1 = std::chrono::steady_clock::now();
     if (rc == 0)
         writeBenchJson(
-            opts,
+            opts, sim::EventQueue::retiredEvents() - events0,
             std::chrono::duration<double>(wall1 - wall0).count());
     return rc;
 }

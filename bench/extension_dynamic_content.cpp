@@ -69,8 +69,6 @@ run(IoatConfig features, unsigned threads,
     meter.run(sim::milliseconds(700));
     const std::uint64_t done1 = fleet.completed();
 
-    if (report)
-        report->noteEvents(sim.executedEvents());
     if (tr)
         tr->finish({{"threads", std::to_string(threads)},
                     {"ioat", features.any() ? "true" : "false"}});

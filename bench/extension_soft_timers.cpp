@@ -57,8 +57,6 @@ run(IoatConfig features, bool soft_timers,
     const std::uint64_t poll0 = server.nic().softPolls();
     meter.run(sim::milliseconds(400));
 
-    if (report)
-        report->noteEvents(sim.executedEvents());
     if (tr)
         tr->finish({{"softTimers", soft_timers ? "true" : "false"},
                     {"ioat", features.any() ? "true" : "false"}});

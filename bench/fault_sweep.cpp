@@ -83,8 +83,6 @@ runStream(IoatConfig features, double loss,
     meter.run(sim::milliseconds(400));
     const std::uint64_t rx1 = b.transport().rxPayloadBytes();
 
-    if (report)
-        report->noteEvents(sim.executedEvents());
     if (tr)
         tr->finish({{"lossRate", sim::strprintf("%g", loss)},
                     {"faultSeed", std::to_string(kFaultSeed)},

@@ -81,7 +81,6 @@ runBandwidth(const Options &o, IoatConfig features, unsigned ports,
                     {"eventsPerSec", sim::strprintf("%.0f", eps)}});
     }
 
-    o.noteEvents(sim.executedEvents());
     return {sim::throughputMbps(rx1 - rx0, meter.elapsed()),
             b.cpu().utilization()};
 }

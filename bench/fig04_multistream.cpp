@@ -51,8 +51,6 @@ run(IoatConfig features, unsigned threads,
     meter.run(sim::milliseconds(400));
     const std::uint64_t rx1 = server.transport().rxPayloadBytes();
 
-    if (report)
-        report->noteEvents(sim.executedEvents());
     if (tr)
         tr->finish({{"threads", std::to_string(threads)},
                     {"ioat", features.any() ? "true" : "false"}});

@@ -80,8 +80,6 @@ run(IoatConfig features, int case_id, bool bidirectional,
     const std::uint64_t rx1 =
         b.transport().rxPayloadBytes() + a.transport().rxPayloadBytes();
 
-    if (report)
-        report->noteEvents(sim.executedEvents());
     if (tr)
         tr->finish({{"case", std::to_string(case_id)},
                     {"bidirectional", bidirectional ? "true" : "false"},

@@ -59,8 +59,6 @@ run(IoatConfig features, std::size_t msg_bytes,
     meter.run(sim::milliseconds(500));
     const std::uint64_t rx1 = server.transport().rxPayloadBytes();
 
-    if (report)
-        report->noteEvents(sim.executedEvents());
     if (tr)
         tr->finish({{"msgBytes", std::to_string(msg_bytes)},
                     {"ioat", features.any() ? "true" : "false"}});

@@ -76,8 +76,6 @@ runTps(IoatConfig features, dc::Workload &workload,
     meter.run(sim::milliseconds(700));
     const std::uint64_t done1 = fleet.completed();
 
-    if (report)
-        report->noteEvents(sim.executedEvents());
     if (tr)
         tr->finish(
             {{"proxyCacheBytes", std::to_string(proxy_cache_bytes)},

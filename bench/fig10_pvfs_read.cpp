@@ -66,8 +66,6 @@ run(IoatConfig features, unsigned iod_count, unsigned compute_nodes,
     for (const auto &c : clients)
         rx1 += c->bytesRead();
 
-    if (report)
-        report->noteEvents(rig.sim.executedEvents());
     if (tr)
         tr->finish({{"iodCount", std::to_string(iod_count)},
                     {"computeNodes", std::to_string(compute_nodes)},

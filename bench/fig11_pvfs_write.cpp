@@ -60,8 +60,6 @@ run(IoatConfig features, unsigned iod_count, unsigned compute_nodes,
     for (const auto &c : clients)
         tx1 += c->bytesWritten();
 
-    if (report)
-        report->noteEvents(rig.sim.executedEvents());
     if (tr)
         tr->finish({{"iodCount", std::to_string(iod_count)},
                     {"computeNodes", std::to_string(compute_nodes)},

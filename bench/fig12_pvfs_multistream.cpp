@@ -64,8 +64,6 @@ run(IoatConfig features, unsigned emulated_clients,
     for (const auto &c : clients)
         rx1 += c->bytesRead();
 
-    if (report)
-        report->noteEvents(rig.sim.executedEvents());
     if (tr)
         tr->finish(
             {{"emulatedClients", std::to_string(emulated_clients)},

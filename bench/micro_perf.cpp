@@ -236,7 +236,6 @@ reportRun(const ioat::bench::Options &opts)
     sim.spawn(perfSinkLoop(sink, 5001, chunk));
     sim.spawn(perfSenderLoop(sender, sink.id(), 5001, chunk));
     sim.runFor(sim::milliseconds(50));
-    opts.noteEvents(sim.executedEvents());
     tr.finish({{"workload", "stream_2node"},
                {"chunkBytes", std::to_string(chunk)}});
 }

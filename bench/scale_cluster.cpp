@@ -98,8 +98,6 @@ run(IoatConfig features, const char *configName, unsigned clientNodes,
         std::chrono::duration<double>(wall1 - wall0).count();
     const std::uint64_t events = sim.executedEvents();
 
-    if (report)
-        report->noteEvents(events);
     if (tr)
         tr->finish({{"clientNodes", std::to_string(clientNodes)},
                     {"config", configName}});
@@ -192,8 +190,6 @@ main(int argc, char **argv)
               << " points, digest " << modelDigest(points)
               << ").\nevents/sec is simulator hot-path throughput: "
                  "compare across PRs at equal cluster size.\n";
-    for (const Point &p : points)
-        opts.noteEvents(p.events);
     return 0;
     });
 }

@@ -22,12 +22,18 @@
  *    timers and bench measurement windows.
  *  - Overflow heap, keyed (when, lane, seq), for anything further out.
  *
- * Buckets hold intrusive doubly-linked key-sorted lists of
- * pool-allocated nodes, so steady-state scheduling performs no heap
- * allocation and same-tick (lane, seq) order (the determinism
- * contract) is structural.
- * Events cascade level-by-level as `now` approaches them; each event
- * cascades at most three times, so scheduling stays amortized O(1).
+ * Buckets hold intrusive doubly-linked lists of pool-allocated nodes,
+ * so steady-state scheduling performs no heap allocation.  L1 and L2
+ * buckets are unsorted append lists; key order is set once per event,
+ * when it lands in its one-tick L0 bucket, which is kept in
+ * (lane, seq) order — so same-tick order (the determinism contract)
+ * is structural.  Events cascade level-by-level as `now` approaches
+ * them; each event cascades at most three times, so scheduling stays
+ * amortized O(1).
+ *
+ * Each event's callback is built once, inline in its node (see
+ * simcore/smallfn.hh), and runs in place: it is never boxed, moved
+ * or re-sorted after scheduling.
  *
  * Every schedule returns a TimerHandle that can cancel the event in
  * O(1) before it fires (lazily for heap residents), which is what the
@@ -38,6 +44,7 @@
 #define IOAT_SIMCORE_EVENT_QUEUE_HH
 
 #include <array>
+#include <atomic>
 #include <cstdint>
 #include <memory>
 #include <queue>
@@ -95,7 +102,15 @@ class EventQueue
         for (Node *chunk : chunks_)
             // simlint: allow(raw-new) node-arena chunk teardown
             delete[] chunk;
+        retired_ += executed_;
     }
+
+    /**
+     * Events executed by every EventQueue this process has destroyed:
+     * the bench harness reads its growth over a bench body as that
+     * body's event count (bench/common.hh).
+     */
+    static std::uint64_t retiredEvents() { return retired_; }
 
     /** Current simulated time. */
     Tick now() const { return now_; }
@@ -239,17 +254,7 @@ class EventQueue
         if (n == nullptr)
             return false;
         now_ = n->when;
-        ++executed_;
-        --size_;
-        // Move the callback out and recycle the node *before* running:
-        // the callback may schedule (possibly reusing this very slot)
-        // or cancel other events.
-        const std::uint32_t lane = n->execLane;
-        SmallFn fn = std::move(n->fn);
-        freeNode(n);
-        currentLane_ = lane;
-        fn();
-        currentLane_ = 0;
+        dispatch(n);
         return true;
     }
 
@@ -288,19 +293,11 @@ class EventQueue
                     l0Clear(idx);
                 --l0Count_;
                 now_ = when;
-                ++executed_;
-                --size_;
-                const std::uint32_t lane = n->execLane;
-                SmallFn fn = std::move(n->fn);
-                freeNode(n);
-                currentLane_ = lane;
-                fn();
-                currentLane_ = 0;
+                dispatch(n);
                 continue;
             }
-            if (nextEventTick() > until)
+            if (!advanceToNextWindow(until))
                 break;
-            runOne();
         }
         if (until > now_) {
             now_ = until;
@@ -467,12 +464,45 @@ class EventQueue
         freeHead_ = n;
     }
 
+    /**
+     * Run an unlinked node's callback where it sits, then recycle the
+     * node.  The gen bump before the call makes a handle to the
+     * running event cancel as a no-op, and the node stays off the free
+     * list until the call returns, so nothing the callback schedules
+     * can reuse it.
+     */
+    void
+    dispatch(Node *n)
+    {
+        ++executed_;
+        --size_;
+        ++n->gen;
+        currentLane_ = n->execLane;
+        n->fn();
+        currentLane_ = 0;
+        freeNode(n);
+    }
+
     // ---- intrusive bucket lists ------------------------------------
 
+    /** Append at the tail: L1/L2 buckets are unsorted. */
+    static void
+    listAppend(List &l, Node *n)
+    {
+        n->prev = l.tail;
+        n->next = nullptr;
+        if (l.tail != nullptr)
+            l.tail->next = n;
+        else
+            l.head = n;
+        l.tail = n;
+    }
+
     /**
-     * Insert in key order.  Seqs ascend, so the scan from the tail is
-     * O(1) unless a bucket already holds higher-lane events at the
-     * same tick.
+     * Insert in key order (L0 buckets, where every node shares one
+     * tick).  The scan from the tail is O(1) unless the bucket already
+     * holds a later key: a higher lane, or a higher seq cascaded in
+     * from an unsorted coarse bucket.
      */
     static void
     listInsert(List &l, Node *n)
@@ -586,7 +616,7 @@ class EventQueue
      * File a node by distance from `now`.  The level windows are the
      * aligned ranges containing `now`, so membership is a shift
      * compare, and every pending event in a nearer level sorts before
-     * every event in a farther one.
+     * every event in a farther one.  Only L0 keeps key order.
      */
     void
     place(Node *n)
@@ -603,14 +633,14 @@ class EventQueue
             n->where = Where::L1;
             const auto idx =
                 static_cast<unsigned>((when >> kL0Bits) & kLvlMask);
-            listInsert(l1_[idx], n);
+            listAppend(l1_[idx], n);
             bmSet(l1Bits_, idx);
             ++l1Count_;
         } else if ((when >> kL2Shift) == (nw >> kL2Shift)) {
             n->where = Where::L2;
             const auto idx =
                 static_cast<unsigned>((when >> kL1Shift) & kLvlMask);
-            listInsert(l2_[idx], n);
+            listAppend(l2_[idx], n);
             bmSet(l2Bits_, idx);
             ++l2Count_;
         } else {
@@ -620,7 +650,7 @@ class EventQueue
         }
     }
 
-    /** Move one L1 bucket down into L0 (order-preserving). */
+    /** Move one L1 bucket down into L0, sorting each node by key. */
     void
     cascadeL1(unsigned idx)
     {
@@ -640,7 +670,7 @@ class EventQueue
         }
     }
 
-    /** Move one L2 bucket down into L1 (order-preserving). */
+    /** Move one L2 bucket down into L1 (unsorted appends). */
     void
     cascadeL2(unsigned idx)
     {
@@ -652,7 +682,7 @@ class EventQueue
             n->where = Where::L1;
             const auto slot = static_cast<unsigned>(
                 (n->when.count() >> kL0Bits) & kLvlMask);
-            listInsert(l1_[slot], n);
+            listAppend(l1_[slot], n);
             bmSet(l1Bits_, slot);
             --l2Count_;
             ++l1Count_;
@@ -670,11 +700,7 @@ class EventQueue
         }
     }
 
-    /**
-     * Move the heap's next 2^28-tick round into the L2/L1/L0 wheels.
-     * Pops arrive in (when, lane, seq) order, so the sorted inserts
-     * below are O(1) appends.
-     */
+    /** Move the heap's next 2^28-tick round into the L2 wheel. */
     void
     refillFromHeap()
     {
@@ -696,7 +722,7 @@ class EventQueue
             n->where = Where::L2;
             const auto slot = static_cast<unsigned>(
                 (n->when.count() >> kL1Shift) & kLvlMask);
-            listInsert(l2_[slot], n);
+            listAppend(l2_[slot], n);
             bmSet(l2Bits_, slot);
             ++l2Count_;
         }
@@ -730,6 +756,45 @@ class EventQueue
             }
             return nullptr;
         }
+    }
+
+    /**
+     * runUntil's slow path, with L0 empty: every pending event is at
+     * or after the start of the first occupied coarse bucket's window
+     * (or the heap's next round).  If that start is <= @p until, move
+     * `now` there and cascade the bucket one level down; no event
+     * runs.  @return false when nothing is due by @p until.
+     */
+    bool
+    advanceToNextWindow(Tick until)
+    {
+        const auto due = [this, until](std::uint64_t start) {
+            if (Tick{start} > until)
+                return false;
+            now_ = Tick{start};
+            return true;
+        };
+        const std::uint64_t nw = now_.count();
+        if (l1Count_ > 0) {
+            const unsigned b = bmFirst(l1Bits_);
+            if (!due(((nw >> kL1Shift) << kL1Shift) |
+                     (std::uint64_t{b} << kL0Bits)))
+                return false;
+            cascadeL1(b);
+        } else if (l2Count_ > 0) {
+            const unsigned c = bmFirst(l2Bits_);
+            if (!due(((nw >> kL2Shift) << kL2Shift) |
+                     (std::uint64_t{c} << kL1Shift)))
+                return false;
+            cascadeL2(c);
+        } else {
+            purgeDeadHeapTops();
+            if (heap_.empty() ||
+                !due((heap_.top()->when.count() >> kL2Shift) << kL2Shift))
+                return false;
+            refillFromHeap();
+        }
+        return true;
     }
 
     /**
@@ -786,6 +851,10 @@ class EventQueue
     std::uint32_t currentLane_ = 0;
     std::uint64_t executed_ = 0;
     std::size_t size_ = 0;
+
+    /** Process-wide (see retiredEvents()); atomic so queues owned by
+     *  different threads may retire concurrently. */
+    static inline std::atomic<std::uint64_t> retired_{0};
 };
 
 } // namespace ioat::sim

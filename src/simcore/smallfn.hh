@@ -3,19 +3,23 @@
  * Small-buffer move-only callable for event-queue hot paths.
  *
  * `std::function` heap-allocates any capture larger than two words,
- * which on the event-queue hot path means one malloc/free per
- * scheduled burst (a NIC transmit captures a ~96-byte net::Burst by
- * value).  SmallFn keeps captures up to `kInlineBytes` inline in the
- * event node itself — nodes come from the queue's arena, so the
- * common case schedules with zero heap traffic.  Oversized captures
- * still work (they fall back to one heap cell), they just lose the
- * fast path.
+ * which on the event-queue hot path would mean one malloc/free per
+ * scheduled burst.  SmallFn keeps every capture inline, in the event
+ * node itself: nodes come from the queue's arena, so scheduling
+ * performs no heap traffic.  The budget is `kInlineBytes`, sized for
+ * the largest hot capture, `[this, net::Burst]`; a larger capture
+ * fails to compile rather than silently falling back to the heap.
+ *
+ * Trivially copyable callables (every hot closure: coroutine resumes,
+ * `[this, idx]`, `[this, burst]`) move as a fixed-size byte copy and
+ * need no destruction, so neither costs an indirect call.
  */
 
 #ifndef IOAT_SIMCORE_SMALLFN_HH
 #define IOAT_SIMCORE_SMALLFN_HH
 
 #include <cstddef>
+#include <cstring>
 #include <new>
 #include <type_traits>
 #include <utility>
@@ -25,15 +29,14 @@ namespace ioat::sim {
 /**
  * Move-only `void()` callable with inline storage.
  *
- * Unlike `std::function` it is not copyable and never type-erases
- * through a separate heap control block for small captures; the
+ * Unlike `std::function` it is not copyable and never allocates; the
  * dispatch table is one static pointer per lambda type.
  */
 class SmallFn
 {
   public:
-    /** Inline capture capacity: fits [this + net::Burst] captures. */
-    static constexpr std::size_t kInlineBytes = 120;
+    /** Inline capture capacity: fits `[this, net::Burst]` (128 B). */
+    static constexpr std::size_t kInlineBytes = 128;
 
     SmallFn() = default;
 
@@ -72,7 +75,8 @@ class SmallFn
     reset()
     {
         if (ops_) {
-            ops_->destroy(&buf_);
+            if (ops_->destroy)
+                ops_->destroy(&buf_);
             ops_ = nullptr;
         }
     }
@@ -83,23 +87,23 @@ class SmallFn
     emplace(F &&fn)
     {
         using Fn = std::decay_t<F>;
+        static_assert(sizeof(Fn) <= kInlineBytes,
+                      "SmallFn: capture exceeds kInlineBytes; capture a "
+                      "pointer instead");
+        static_assert(alignof(Fn) <= alignof(std::max_align_t),
+                      "SmallFn: over-aligned capture; capture a pointer "
+                      "instead");
         reset();
-        if constexpr (sizeof(Fn) <= kInlineBytes &&
-                      alignof(Fn) <= alignof(std::max_align_t)) {
-            ::new (static_cast<void *>(&buf_)) Fn(std::forward<F>(fn));
-            ops_ = &inlineOps<Fn>;
-        } else {
-            *reinterpret_cast<void **>(&buf_) =
-                // simlint: allow(raw-new) oversized-callable fallback
-                new Fn(std::forward<F>(fn));
-            ops_ = &boxedOps<Fn>;
-        }
+        ::new (static_cast<void *>(&buf_)) Fn(std::forward<F>(fn));
+        ops_ = &opsFor<Fn>;
     }
 
     /** Invoke.  Undefined when empty (callers check or know). */
     void operator()() { ops_->call(&buf_); }
 
   private:
+    /** `destroy` and `move` are null for trivially copyable callables
+     *  (which are trivially destructible too): they move by memcpy. */
     struct Ops
     {
         void (*call)(void *);
@@ -108,33 +112,37 @@ class SmallFn
     };
 
     template <typename Fn>
-    static constexpr Ops inlineOps = {
-        [](void *p) { (*std::launder(reinterpret_cast<Fn *>(p)))(); },
-        [](void *p) { std::launder(reinterpret_cast<Fn *>(p))->~Fn(); },
-        [](void *dst, void *src) {
-            Fn *s = std::launder(reinterpret_cast<Fn *>(src));
-            ::new (dst) Fn(std::move(*s));
-            s->~Fn();
-        },
-    };
+    static void
+    callAt(void *p)
+    {
+        (*std::launder(reinterpret_cast<Fn *>(p)))();
+    }
 
     template <typename Fn>
-    static constexpr Ops boxedOps = {
-        [](void *p) { (**reinterpret_cast<Fn **>(p))(); },
-        // simlint: allow(raw-new) oversized-callable fallback
-        [](void *p) { delete *reinterpret_cast<Fn **>(p); },
-        [](void *dst, void *src) {
-            *reinterpret_cast<Fn **>(dst) =
-                *reinterpret_cast<Fn **>(src);
-        },
-    };
+    static constexpr Ops opsFor =
+        std::is_trivially_copyable_v<Fn>
+            ? Ops{&callAt<Fn>, nullptr, nullptr}
+            : Ops{
+                  &callAt<Fn>,
+                  [](void *p) {
+                      std::launder(reinterpret_cast<Fn *>(p))->~Fn();
+                  },
+                  [](void *dst, void *src) {
+                      Fn *s = std::launder(reinterpret_cast<Fn *>(src));
+                      ::new (dst) Fn(std::move(*s));
+                      s->~Fn();
+                  },
+              };
 
     void
     moveFrom(SmallFn &o)
     {
         ops_ = o.ops_;
         if (ops_) {
-            ops_->move(&buf_, &o.buf_);
+            if (ops_->move)
+                ops_->move(&buf_, &o.buf_);
+            else
+                std::memcpy(&buf_, &o.buf_, kInlineBytes);
             o.ops_ = nullptr;
         }
     }

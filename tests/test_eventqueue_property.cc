@@ -2,9 +2,9 @@
  * @file
  * Property tests for the calendar/timer-wheel event queue.
  *
- * Randomized schedule / cancel / pop sequences are cross-checked
- * against a reference model (a `std::multimap` keyed by (tick,
- * priority lane), whose equal-key insertion order is the FIFO
+ * Randomized schedule / cancel / pop / runUntil sequences are
+ * cross-checked against a reference model (a `std::multimap` keyed by
+ * (tick, priority lane), whose equal-key insertion order is the FIFO
  * contract within a lane).  Delay distributions are chosen to hit
  * every residence class: same-tick posts, the L0 one-tick buckets,
  * the L1/L2 coarse wheels, and the far-horizon overflow heap.  The
@@ -161,6 +161,33 @@ TEST(EventQueueProperty, RandomizedScheduleCancelPopMatchesModel)
                 ASSERT_EQ(modelSaysLive, queueSaysLive)
                     << "cancel disagreement on id " << id << " (seed "
                     << seed << ")";
+            }
+
+            // Some rounds advance with runUntil instead: exactly the
+            // model events due by `until` fire, in model order, and
+            // now() lands on `until` — also when the jump crosses
+            // wheel windows with nothing to run.
+            if (rng() % 3 == 0) {
+                const Tick until = q.now() + randomDelay(rng);
+                std::size_t k = fired.size();
+                q.runUntil(until);
+                while (model.size() > 0 && model.nextWhen() <= until) {
+                    ASSERT_LT(k, fired.size())
+                        << "runUntil skipped a due event (seed " << seed
+                        << ")";
+                    ASSERT_EQ(model.pop(), fired[k])
+                        << "runUntil order diverged (seed " << seed
+                        << ")";
+                    ASSERT_EQ(execLaneOf[static_cast<std::size_t>(
+                                  fired[k])],
+                              firedLane[k]);
+                    ++k;
+                }
+                ASSERT_EQ(k, fired.size())
+                    << "runUntil ran an event past until (seed " << seed
+                    << ")";
+                ASSERT_EQ(until, q.now());
+                continue;
             }
 
             // Pop a random number of events and check order.
@@ -323,6 +350,26 @@ TEST(EventQueueProperty, RunUntilAcrossEmptyWindowsThenSchedule)
     ASSERT_TRUE(q.empty());
 }
 
+TEST(EventQueueProperty, RunUntilRunsEventsAtCoarseWindowStarts)
+{
+    // An event exactly at `until`, on the first tick of an L1 window,
+    // an L2 window or a heap round, is due: runUntil must run it, and
+    // only it.
+    for (const std::uint64_t start :
+         {std::uint64_t{3} << 12, std::uint64_t{3} << 20,
+          std::uint64_t{3} << 28}) {
+        EventQueue q;
+        std::vector<int> fired;
+        q.schedule(Tick{start + 1}, [&fired] { fired.push_back(1); });
+        q.schedule(Tick{start}, [&fired] { fired.push_back(0); });
+        q.runUntil(Tick{start});
+        EXPECT_EQ((std::vector<int>{0}), fired) << "start " << start;
+        EXPECT_EQ(Tick{start}, q.now());
+        q.run();
+        EXPECT_EQ((std::vector<int>{0, 1}), fired) << "start " << start;
+    }
+}
+
 TEST(EventQueueProperty, MergeOrderIsTotalAndStable)
 {
     // A grid of keys with deliberate tick and lane collisions, two
@@ -330,7 +377,9 @@ TEST(EventQueueProperty, MergeOrderIsTotalAndStable)
     // both lane entry points.  Execution must follow the total
     // (when, lane, seq) order: (when, lane) first, schedule order
     // within a key — so the key sequence that runs is the same
-    // whatever order the events were scheduled in.
+    // whatever order the events were scheduled in.  The later ticks
+    // start in L1, L2 and the overflow heap, whose buckets are
+    // unsorted: their lane order is set when they reach L0.
     struct Keyed
     {
         Tick when;
@@ -338,7 +387,9 @@ TEST(EventQueueProperty, MergeOrderIsTotalAndStable)
         int id; // index into events
     };
     std::vector<Keyed> events;
-    for (Tick when : {Tick{5}, Tick{1}, Tick{12}, Tick{9}})
+    for (Tick when : {Tick{5}, Tick{1}, Tick{12}, Tick{9}, Tick{5000},
+                      Tick{std::uint64_t{1} << 21},
+                      Tick{std::uint64_t{1} << 29}})
         for (std::uint32_t lane : {2u, 0u, 7u})
             for (int copy = 0; copy < 2; ++copy)
                 events.push_back(

@@ -1,12 +1,18 @@
 /**
  * @file
- * Unit tests for the simulation core: event queue ordering, coroutine
- * semantics, synchronization primitives, channels, RNG/Zipf, stats.
+ * Unit tests for the simulation core: event queue ordering, SmallFn
+ * lifetimes and in-place dispatch, coroutine semantics,
+ * synchronization primitives, channels, RNG/Zipf, stats.
  */
 
 #include <gtest/gtest.h>
 
+#include <array>
+#include <cstddef>
+#include <cstdint>
 #include <string>
+#include <type_traits>
+#include <utility>
 #include <vector>
 
 #include "simcore/simcore.hh"
@@ -81,6 +87,198 @@ TEST(EventQueueDeathTest, SchedulingInThePastPanics)
     eq.schedule(ioat::sim::Tick{10}, [] {});
     eq.run();
     EXPECT_DEATH(eq.schedule(ioat::sim::Tick{5}, [] {}), "past");
+}
+
+// --------------------------------------------------------------------
+// SmallFn and in-place dispatch
+// --------------------------------------------------------------------
+
+/**
+ * Counts destructions of the instance that owns the count: a
+ * moved-from copy hands its pointer over, so "destroyed once" means
+ * the captured value, however often it moved, died exactly once.
+ */
+struct DestroyCounter
+{
+    int *destroyed;
+
+    explicit DestroyCounter(int *d) : destroyed(d) {}
+    DestroyCounter(DestroyCounter &&o) noexcept
+        : destroyed(std::exchange(o.destroyed, nullptr))
+    {}
+    DestroyCounter &operator=(DestroyCounter &&) = delete;
+
+    ~DestroyCounter()
+    {
+        if (destroyed != nullptr)
+            ++*destroyed;
+    }
+};
+
+/** Horizons landing in L0, L1, L2 and the overflow heap. */
+const Tick kHorizons[] = {Tick{100}, Tick{5000},
+                          Tick{std::uint64_t{1} << 21},
+                          Tick{std::uint64_t{1} << 29}};
+
+TEST(SmallFn, NonTrivialCaptureDiesOnceAcrossMoves)
+{
+    int destroyed = 0;
+    int replaced = 0;
+    {
+        SmallFn a([c = DestroyCounter(&destroyed)] {});
+        SmallFn b(std::move(a));
+        EXPECT_FALSE(a);
+        SmallFn d([c = DestroyCounter(&replaced)] {});
+        d = std::move(b); // destroys d's previous callable
+        EXPECT_FALSE(b);
+        EXPECT_EQ(replaced, 1);
+        EXPECT_EQ(destroyed, 0);
+    }
+    EXPECT_EQ(destroyed, 1);
+    EXPECT_EQ(replaced, 1);
+}
+
+TEST(SmallFn, ResetDestroysOnce)
+{
+    int destroyed = 0;
+    {
+        SmallFn f([c = DestroyCounter(&destroyed)] {});
+        f.reset();
+        EXPECT_FALSE(f);
+        EXPECT_EQ(destroyed, 1);
+        f.reset();
+    }
+    EXPECT_EQ(destroyed, 1);
+}
+
+TEST(SmallFn, TriviallyCopyableCaptureKeepsBytesAcrossMoves)
+{
+    // Fills the whole inline budget, so a short fixed-size copy would
+    // lose the tail.
+    std::array<std::uint64_t, 15> words{};
+    for (std::size_t i = 0; i < words.size(); ++i)
+        words[i] = 0x0123456789abcdefull * (i + 1);
+    std::array<std::uint64_t, 15> seen{};
+    auto *out = &seen;
+    auto fn = [words, out] { *out = words; };
+    static_assert(std::is_trivially_copyable_v<decltype(fn)>);
+    static_assert(sizeof(fn) == SmallFn::kInlineBytes);
+
+    SmallFn a(fn);
+    SmallFn b(std::move(a));
+    SmallFn c;
+    c = std::move(b);
+    EXPECT_FALSE(a);
+    EXPECT_FALSE(b);
+    c();
+    EXPECT_EQ(seen, words);
+}
+
+TEST(SmallFn, InlineBudgetAddsOnlyTheOpsPointer)
+{
+    // The ops pointer pads to one max_align_t; event nodes embed a
+    // SmallFn, so this is the whole per-node cost of the budget.
+    EXPECT_EQ(sizeof(SmallFn),
+              SmallFn::kInlineBytes + alignof(std::max_align_t));
+}
+
+TEST(EventQueue, CancelDestroysPendingCaptureOnce)
+{
+    for (const Tick horizon : kHorizons) {
+        int destroyed = 0;
+        {
+            EventQueue eq;
+            auto h = eq.schedule(horizon,
+                                 [c = DestroyCounter(&destroyed)] {});
+            EXPECT_TRUE(eq.cancel(h));
+            EXPECT_EQ(destroyed, 1) << "horizon " << horizon.count();
+            eq.run();
+        }
+        EXPECT_EQ(destroyed, 1) << "horizon " << horizon.count();
+    }
+}
+
+TEST(EventQueue, ClearDestroysEveryCaptureOnce)
+{
+    int destroyed[4] = {};
+    {
+        EventQueue eq;
+        for (int i = 0; i < 4; ++i)
+            eq.schedule(kHorizons[i],
+                        [c = DestroyCounter(&destroyed[i])] {});
+        eq.clear();
+        EXPECT_TRUE(eq.empty());
+        for (int d : destroyed)
+            EXPECT_EQ(d, 1);
+    }
+    for (int d : destroyed)
+        EXPECT_EQ(d, 1);
+}
+
+TEST(EventQueue, RunDestroysCaptureOnceAfterTheCallReturns)
+{
+    for (const Tick horizon : kHorizons) {
+        int destroyed = 0;
+        int destroyedDuringCall = -1;
+        {
+            EventQueue eq;
+            eq.schedule(horizon, [c = DestroyCounter(&destroyed),
+                                  &destroyedDuringCall, &destroyed] {
+                destroyedDuringCall = destroyed;
+            });
+            eq.run();
+            EXPECT_EQ(destroyedDuringCall, 0);
+            EXPECT_EQ(destroyed, 1) << "horizon " << horizon.count();
+        }
+        EXPECT_EQ(destroyed, 1) << "horizon " << horizon.count();
+    }
+}
+
+TEST(EventQueue, CallbackCancellingItsOwnHandleGetsFalse)
+{
+    // Once through runOne and once through runUntil's fast path.
+    for (const bool viaRunUntil : {false, true}) {
+        EventQueue eq;
+        EventQueue::TimerHandle self;
+        bool cancelled = true;
+        std::size_t sizeBefore = 0;
+        std::size_t sizeAfter = 0;
+        eq.schedule(Tick{50}, [] {});
+        self = eq.schedule(Tick{10}, [&] {
+            sizeBefore = eq.size();
+            cancelled = eq.cancel(self);
+            sizeAfter = eq.size();
+        });
+        if (viaRunUntil)
+            eq.runUntil(Tick{20});
+        else
+            eq.runOne();
+        EXPECT_FALSE(cancelled);
+        EXPECT_EQ(sizeBefore, 1u);
+        EXPECT_EQ(sizeAfter, 1u);
+        EXPECT_EQ(eq.size(), 1u);
+        EXPECT_EQ(eq.run(), 1u);
+    }
+}
+
+TEST(EventQueue, CallbackCaptureSurvivesSchedulingFromInside)
+{
+    // The running callback's node is not recycled until it returns,
+    // so the events it schedules cannot overwrite its capture.
+    EventQueue eq;
+    std::array<std::uint64_t, 13> words{};
+    words.fill(0x5a5a5a5a5a5a5a5aull);
+    std::array<std::uint64_t, 13> seen{};
+    std::uint64_t sink = 0;
+    eq.schedule(Tick{1}, [words, &eq, &seen, &sink] {
+        for (std::uint64_t i = 0; i < 64; ++i)
+            eq.post([&sink, i] { sink += i; });
+        seen = words;
+    });
+    eq.run();
+    EXPECT_EQ(seen, words);
+    EXPECT_EQ(sink, 64u * 63u / 2u);
+    EXPECT_EQ(eq.executedEvents(), 65u);
 }
 
 // --------------------------------------------------------------------
