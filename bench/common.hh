@@ -4,8 +4,9 @@
  * stream generators/sinks (written against the sock facade),
  * measurement-window utilities, and the common command-line surface
  * (`Options` + `benchMain`) every bench binary exposes —
- * `--report <file>` (RunReport JSON), `--trace <file>` (Chrome
- * trace), `--sample-interval <us>`, `--seed <n>`, plus bench-specific
+ * `--report <file>` (RunReport JSON), `--metrics <file>` (OpenMetrics
+ * timeline), `--trace <file>` (Chrome trace), `--sample-interval <us>`
+ * (the one timeline's spacing), `--seed <n>`, plus bench-specific
  * numeric knobs.
  */
 
@@ -206,7 +207,6 @@ class Options
     bool wantSpanReport() const { return !spanReport_.empty(); }
     bool wantProfile() const { return !profile_.empty(); }
     bool wantMetrics() const { return !metrics_.empty(); }
-    bool wantEngineMetrics() const { return metricsEngine_; }
     /** Any artifact that needs telemetry/tracing machinery on. */
     bool
     instrumented() const
@@ -215,16 +215,8 @@ class Options
                wantSpanReport() || wantProfile() || wantMetrics();
     }
 
-    /** Probe sampling period for instrumented runs. */
+    /** Timeline sampling period for --report and --metrics. */
     Tick sampleInterval() const { return sampleInterval_; }
-
-    /** Metrics snapshot spacing (defaults to the sample interval). */
-    Tick
-    metricsInterval() const
-    {
-        return metricsInterval_ > Tick{0} ? metricsInterval_
-                                          : sampleInterval_;
-    }
 
     /** @name Transport pinning (`--transport {tcp,ioat,bypass}`)
      *  @{ */
@@ -277,15 +269,11 @@ class Options
                 transport_ = val;
                 continue;
             }
-            if (arg == "--metrics-engine") {
-                metricsEngine_ = true;
-                continue;
-            }
             if (arg == "--report" || arg == "--trace" ||
                 arg == "--trace-requests" || arg == "--span-report" ||
                 arg == "--profile" || arg == "--metrics" ||
-                arg == "--metrics-interval" || arg == "--bench-json" ||
-                arg == "--sample-interval" || arg == "--seed") {
+                arg == "--bench-json" || arg == "--sample-interval" ||
+                arg == "--seed") {
                 if (i + 1 >= argc)
                     return fail(arg + " needs a value");
                 const std::string val = argv[++i];
@@ -303,10 +291,7 @@ class Options
                     metrics_ = val;
                 else if (arg == "--bench-json")
                     benchJson_ = val;
-                else if (arg == "--metrics-interval") {
-                    if (!parseInterval(val, metricsInterval_))
-                        return fail(arg + " wants whole microseconds >= 1");
-                } else if (arg == "--sample-interval") {
+                else if (arg == "--sample-interval") {
                     if (!parseInterval(val, sampleInterval_))
                         return fail(arg + " wants whole microseconds >= 1");
                 } else if (!parseWhole(val, seed_)) {
@@ -354,18 +339,15 @@ class Options
                      "JSON (breakdown + critical path)\n"
                      "  --profile <file>          write folded-stack "
                      "profile (flamegraph.pl format)\n"
-                     "  --metrics <file>          write periodic metrics "
-                     "snapshots (OpenMetrics text;\n"
-                     "                            JSON when the path ends "
-                     "in .json)\n"
-                     "  --metrics-interval <us>   snapshot spacing "
-                     "(default: the sample interval)\n"
-                     "  --metrics-engine          include simulator-engine "
-                     "gauges in --metrics\n"
+                     "  --metrics <file>          write the sampled "
+                     "timeline as OpenMetrics text\n"
+                     "                            (JSON when the path "
+                     "ends in .json)\n"
                      "  --bench-json <file>       perf-trajectory JSON "
                      "path (default BENCH_<bench>.json)\n"
-                     "  --sample-interval <us>    probe sampling period "
-                     "(default 100)\n"
+                     "  --sample-interval <us>    timeline sampling period "
+                     "for --report and\n"
+                     "                            --metrics (default 100)\n"
                      "  --seed <n>                run seed echoed into the "
                      "report\n"
                      "  --transport <t>           pin one transport: tcp, "
@@ -462,9 +444,7 @@ class Options
     std::string profile_;
     std::string metrics_;
     std::string benchJson_;
-    bool metricsEngine_ = false;
     Tick sampleInterval_ = sim::microseconds(100);
-    Tick metricsInterval_{};
     std::uint64_t seed_ = 1;
     std::string transport_;
     std::vector<Knob> knobs_;
@@ -501,13 +481,14 @@ writeBenchJson(const Options &opts, std::uint64_t events,
             ? static_cast<double>(events) / wall_seconds
             : 0.0;
     out << "{\n  \"schema\": \"ioat-bench-v1\",\n"
-        << "  \"bench\": \"" << opts.benchName() << "\",\n"
+        << "  \"bench\": \"" << sim::jsonEscape(opts.benchName())
+        << "\",\n"
         << "  \"gitRev\": \"" << sim::telemetry::gitRevision()
         << "\",\n  \"config\": {";
     const auto cfg = opts.configEcho();
     for (std::size_t i = 0; i < cfg.size(); ++i)
-        out << (i ? ", " : "") << "\"" << cfg[i].first << "\": \""
-            << cfg[i].second << "\"";
+        out << (i ? ", " : "") << "\"" << sim::jsonEscape(cfg[i].first)
+            << "\": \"" << sim::jsonEscape(cfg[i].second) << "\"";
     out << "},\n  \"metrics\": {\"events\": " << events
         << ", \"wallSeconds\": " << sim::strprintf("%.3f", wall_seconds)
         << ", \"eventsPerSec\": " << sim::strprintf("%.0f", eps)
@@ -543,15 +524,19 @@ benchMain(int argc, char **argv, Options &opts,
  *
  * Construct *after* the Simulation exists and before the workload
  * runs: it opens a telemetry::Session (sampling at
- * `opts.sampleInterval()` when a report was requested) and attaches a
- * trace writer when `--trace` was given.  `finish()` captures the
- * RunReport and writes every requested artifact.
+ * `opts.sampleInterval()` when a report or metrics were requested)
+ * and attaches a trace writer when `--trace` was given.  `finish()`
+ * stops sampling and writes every requested artifact; the RunReport
+ * and the OpenMetrics file encode the same samples.
  */
 class TelemetryRun
 {
   public:
     TelemetryRun(Simulation &sim, const Options &opts)
-        : opts_(opts), session_(sim, sessionConfig(opts))
+        : opts_(opts),
+          session_(sim, opts.wantReport() || opts.wantMetrics()
+                            ? opts.sampleInterval()
+                            : Tick{0})
     {
         if (opts_.wantTrace()) {
             tracer_ = std::make_unique<sim::TraceWriter>();
@@ -568,8 +553,6 @@ class TelemetryRun
                 reqTracer_->attachProfiler(&*profiler_);
             }
         }
-        if (opts_.wantMetrics())
-            metrics_.emplace(sim, snapshotConfig(opts_));
     }
 
     sim::telemetry::Session &session() { return session_; }
@@ -582,6 +565,7 @@ class TelemetryRun
     finish(std::vector<std::pair<std::string, std::string>>
                extra_config = {})
     {
+        session_.sampler().stop();
         if (opts_.wantReport()) {
             sim::telemetry::RunReport report;
             report.setBench(opts_.benchName());
@@ -608,8 +592,9 @@ class TelemetryRun
         }
         if (profiler_)
             profiler_->saveFolded(opts_.profilePath());
-        if (metrics_)
-            metrics_->save(opts_.metricsPath());
+        if (opts_.wantMetrics())
+            sim::telemetry::OpenMetricsWriter(session_.sampler())
+                .save(opts_.metricsPath());
     }
 
     /** The request tracer, when --trace-requests/--span-report is on. */
@@ -621,36 +606,12 @@ class TelemetryRun
         return profiler_ ? &*profiler_ : nullptr;
     }
 
-    /** The metrics snapshotter, when --metrics is on. */
-    sim::telemetry::MetricsSnapshot *metrics()
-    {
-        return metrics_ ? &*metrics_ : nullptr;
-    }
-
   private:
-    static sim::telemetry::Session::Config
-    sessionConfig(const Options &opts)
-    {
-        return sim::telemetry::Session::Config{
-            opts.wantReport() ? opts.sampleInterval() : Tick{0},
-            sim::telemetry::Sampler::kDefaultMaxSamples};
-    }
-
-    static sim::telemetry::MetricsSnapshot::Config
-    snapshotConfig(const Options &opts)
-    {
-        sim::telemetry::MetricsSnapshot::Config cfg;
-        cfg.interval = opts.metricsInterval();
-        cfg.engine = opts.wantEngineMetrics();
-        return cfg;
-    }
-
     const Options &opts_;
     std::unique_ptr<sim::TraceWriter> tracer_;
     sim::RequestTracer *reqTracer_ = nullptr;
     sim::telemetry::Session session_;
     std::optional<sim::Profiler> profiler_;
-    std::optional<sim::telemetry::MetricsSnapshot> metrics_;
 };
 
 } // namespace ioat::bench

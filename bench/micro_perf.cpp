@@ -252,13 +252,11 @@ main(int argc, char **argv)
     std::vector<char *> our_argv{argv[0]};
     for (int i = 1; i < argc; ++i) {
         const std::string arg = argv[i];
-        if (arg == "--metrics-engine") {
-            our_argv.push_back(argv[i]);
-        } else if (arg == "--report" || arg == "--trace" ||
+        if (arg == "--report" || arg == "--trace" ||
             arg == "--trace-requests" || arg == "--span-report" ||
             arg == "--profile" || arg == "--metrics" ||
-            arg == "--metrics-interval" || arg == "--bench-json" ||
-            arg == "--sample-interval" || arg == "--seed") {
+            arg == "--bench-json" || arg == "--sample-interval" ||
+            arg == "--seed") {
             our_argv.push_back(argv[i]);
             if (i + 1 < argc)
                 our_argv.push_back(argv[++i]);

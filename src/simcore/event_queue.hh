@@ -342,10 +342,11 @@ class EventQueue
     std::uint64_t executedEvents() const { return executed_; }
 
     /** @name Wheel-occupancy introspection
-     * Pending-event counts per calendar level, for the engine
-     * telemetry snapshots (telemetry/snapshot.hh).  Read-only: which
-     * level an event sits on is a cascading detail, so these are
-     * wall-clock-ish engine facts, not model state.
+     * Pending-event counts per calendar level, sampled as the
+     * "sim.queueDepth*" gauges every telemetry Session registers
+     * (telemetry/session.hh).  Read-only: which level an event sits
+     * on is a cascading detail, so these are engine facts, not model
+     * state.
      *  @{ */
     std::size_t l0Depth() const { return l0Count_; }
     std::size_t l1Depth() const { return l1Count_; }

@@ -632,28 +632,6 @@ class RequestTracer : public telemetry::Instrumented
         }
     }
 
-    static std::string
-    jsonEscape(const std::string &s)
-    {
-        static constexpr char hex[] = "0123456789abcdef";
-        std::string out;
-        out.reserve(s.size());
-        for (char c : s) {
-            const auto u = static_cast<unsigned char>(c);
-            if (c == '"' || c == '\\') {
-                out.push_back('\\');
-                out.push_back(c);
-            } else if (u < 0x20) {
-                out += "\\u00";
-                out.push_back(hex[(u >> 4) & 0xf]);
-                out.push_back(hex[u & 0xf]);
-            } else {
-                out.push_back(c);
-            }
-        }
-        return out;
-    }
-
     EventQueue &clock_;
     ProfileSink *profiler_ = nullptr;
     std::uint32_t maxDetailed_;

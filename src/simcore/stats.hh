@@ -1,10 +1,12 @@
 /**
  * @file
- * Statistics collection framework.
+ * Model-side statistic primitives: event counters, running summaries
+ * and time-weighted averages.
  *
- * Models report through these types and experiments read them back;
- * a Registry gives every stat a hierarchical name and a one-line dump
- * format, loosely following gem5's stats package.
+ * Models update these on their own paths and expose them through
+ * accessors; naming and export belong to the telemetry registry
+ * (telemetry/registry.hh), which publishes a Counter with
+ * `Registry::counter` and anything else as a scalar or probe.
  */
 
 #ifndef IOAT_SIMCORE_STATS_HH
@@ -14,9 +16,6 @@
 #include <cmath>
 #include <cstdint>
 #include <limits>
-#include <ostream>
-#include <string>
-#include <vector>
 
 #include "simcore/assert.hh"
 #include "simcore/types.hh"
@@ -149,114 +148,6 @@ class TimeWeighted
     double area_ = 0.0;
     Tick windowStart_{};
     Tick lastChange_{};
-};
-
-/** Power-of-two bucketed histogram (bucket i covers [2^i, 2^(i+1))). */
-class Log2Histogram
-{
-  public:
-    void
-    sample(std::uint64_t v)
-    {
-        ++buckets_[bucketFor(v)];
-        ++count_;
-    }
-
-    std::uint64_t count() const { return count_; }
-    std::uint64_t bucket(unsigned i) const
-    {
-        return i < kBuckets ? buckets_[i] : 0;
-    }
-
-    /** Smallest value v such that at least `q` of the mass is <= v. */
-    std::uint64_t
-    quantileUpperBound(double q) const
-    {
-        if (count_ == 0)
-            return 0;
-        const auto target = static_cast<std::uint64_t>(
-            q * static_cast<double>(count_));
-        std::uint64_t seen = 0;
-        for (unsigned i = 0; i < kBuckets; ++i) {
-            seen += buckets_[i];
-            if (seen >= target)
-                return i >= 63 ? ~std::uint64_t{0} : (std::uint64_t{2} << i);
-        }
-        return ~std::uint64_t{0};
-    }
-
-  private:
-    static constexpr unsigned kBuckets = 64;
-
-    static unsigned
-    bucketFor(std::uint64_t v)
-    {
-        if (v == 0)
-            return 0;
-        return 63 - static_cast<unsigned>(__builtin_clzll(v));
-    }
-
-    std::uint64_t buckets_[kBuckets] = {};
-    std::uint64_t count_ = 0;
-};
-
-/** A named view onto any stat, for dumping. */
-struct NamedStat
-{
-    std::string name;
-    std::string description;
-    // Snapshot function: returns current value as double.
-    double (*read)(const void *);
-    const void *object;
-};
-
-/**
- * Registry of named stats for end-of-run dumps.
- *
- * Objects register their stats under dotted names
- * ("node0.cpu.utilization"); dump() prints name, value, description.
- */
-class Registry
-{
-  public:
-    void
-    addCounter(std::string name, const Counter &c, std::string desc = "")
-    {
-        stats_.push_back({std::move(name), std::move(desc),
-                          [](const void *p) {
-                              return static_cast<double>(
-                                  static_cast<const Counter *>(p)->value());
-                          },
-                          &c});
-    }
-
-    void
-    addAccumulatorMean(std::string name, const Accumulator &a,
-                       std::string desc = "")
-    {
-        stats_.push_back({std::move(name), std::move(desc),
-                          [](const void *p) {
-                              return static_cast<const Accumulator *>(p)
-                                  ->mean();
-                          },
-                          &a});
-    }
-
-    std::size_t size() const { return stats_.size(); }
-
-    void
-    dump(std::ostream &os) const
-    {
-        for (const auto &s : stats_) {
-            os << s.name << " = " << s.read(s.object);
-            if (!s.description.empty())
-                os << "   # " << s.description;
-            os << '\n';
-        }
-    }
-
-  private:
-    std::vector<NamedStat> stats_;
 };
 
 } // namespace ioat::sim::stats

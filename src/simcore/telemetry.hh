@@ -1,9 +1,10 @@
 /**
  * @file
- * Umbrella header for the telemetry subsystem: histograms,
- * time-series probes with a deterministic sampler, the Instrumented
- * registration interface and hierarchy Hub, and the RunReport
- * JSON/CSV exporter.  See DESIGN.md "Observability".
+ * Umbrella header for the telemetry subsystem: histograms, the
+ * Instrumented registration interface and hierarchy Hub, the one
+ * simulated-time Sampler and its timeline, and the timeline's two
+ * encoders — RunReport (JSON/CSV) and OpenMetrics (text/JSON).  See
+ * DESIGN.md "Observability".
  */
 
 #ifndef IOAT_SIMCORE_TELEMETRY_HH
@@ -15,6 +16,5 @@
 #include "simcore/telemetry/sampler.hh"
 #include "simcore/telemetry/session.hh"
 #include "simcore/telemetry/snapshot.hh"
-#include "simcore/telemetry/timeseries.hh"
 
 #endif // IOAT_SIMCORE_TELEMETRY_HH

@@ -4,10 +4,9 @@
  * one `Registry` every component publishes into, one `Hub` that walks
  * the component hierarchy.
  *
- * Replaces the scattered `registerStats(stats::Registry&)`
- * conventions: a component implements `instrument(Registry&)` once,
- * registering scalars, sampled probes, histograms and flow tables
- * under its *local* names ("utilization", "wireBytes"); the caller
+ * A component implements `instrument(Registry&)` once, registering
+ * scalars, sampled probes, histograms and flow tables under its
+ * *local* names ("utilization", "wireBytes"); the caller
  * brings the dotted prefix ("node0.cpu") via Registry::Scope, so the
  * same component code yields "node0.cpu.utilization" and
  * "node3.cpu.utilization" with zero per-call-site boilerplate.
@@ -19,16 +18,16 @@
  * deterministic (a vector, never a hash map), matching the
  * simulator's bit-identical-replay contract.
  *
- * Pay-for-what-you-use: a Registry only exists while a report or
- * sampler is live; components that merely *declare* instrument() pay
- * nothing on the simulation hot path.
+ * Pay-for-what-you-use: a Registry only exists while a Session is
+ * live; components that merely *declare* instrument() pay nothing on
+ * the simulation hot path.  The registry holds no readings: the
+ * Sampler (sampler.hh) keeps the run's one timeline.
  */
 
 #ifndef IOAT_SIMCORE_TELEMETRY_REGISTRY_HH
 #define IOAT_SIMCORE_TELEMETRY_REGISTRY_HH
 
 #include <cstdint>
-#include <deque>
 #include <functional>
 #include <map>
 #include <string>
@@ -38,11 +37,21 @@
 #include "simcore/assert.hh"
 #include "simcore/stats.hh"
 #include "simcore/telemetry/histogram.hh"
-#include "simcore/telemetry/timeseries.hh"
 #include "simcore/trace.hh"
 #include "simcore/types.hh"
 
 namespace ioat::sim::telemetry {
+
+/** How a probe's readings become series values. */
+enum class ProbeKind {
+    /** The instantaneous reading (queue depth, busy cores). */
+    gauge,
+    /**
+     * The increase since the previous sample (per-interval rate of a
+     * monotonic counter, e.g. link bytes per interval).
+     */
+    delta,
+};
 
 /**
  * Per-connection transport flow record (bytes, retransmits, RTO
@@ -76,21 +85,13 @@ class Registry
         std::function<double()> read;
     };
 
-    /** A named signal polled by the Sampler into a TimeSeries. */
+    /** A named signal the Sampler reads every interval. */
     struct Probe
     {
         std::string name;
         std::string description;
         ProbeKind kind = ProbeKind::gauge;
         std::function<double()> read;
-        double lastRaw = 0.0; ///< previous reading (delta probes)
-        TimeSeries series;
-        /**
-         * Distribution of sampled values in milli-units (value *
-         * 1000, rounded), so fractional gauges like utilization keep
-         * three decimal digits through the integer histogram.
-         */
-        Histogram dist;
     };
 
     /** A named view onto a component-owned histogram. */
@@ -179,8 +180,8 @@ class Registry
     probe(std::string_view name, ProbeKind kind,
           std::function<double()> read, std::string desc = "")
     {
-        probes_.push_back(Probe{qualify(name), std::move(desc), kind,
-                                std::move(read), 0.0, {}, {}});
+        probes_.push_back(
+            Probe{qualify(name), std::move(desc), kind, std::move(read)});
     }
 
     void
@@ -202,8 +203,7 @@ class Registry
     /** @name Access (Sampler, RunReport, tests)
      *  @{ */
     const std::vector<Scalar> &scalars() const { return scalars_; }
-    std::deque<Probe> &probes() { return probes_; }
-    const std::deque<Probe> &probes() const { return probes_; }
+    const std::vector<Probe> &probes() const { return probes_; }
     const std::vector<HistogramRef> &histograms() const
     {
         return histograms_;
@@ -217,8 +217,7 @@ class Registry
   private:
     std::vector<std::string> prefix_;
     std::vector<Scalar> scalars_;
-    /** deque: Probe addresses stay stable as registration grows. */
-    std::deque<Probe> probes_;
+    std::vector<Probe> probes_;
     std::vector<HistogramRef> histograms_;
     std::vector<FlowSource> flowSources_;
 };
@@ -281,8 +280,6 @@ class Hub
             }
         }
     }
-
-    std::size_t size() const { return entries_.size(); }
 
     /** Walk every registered component in registration order. */
     void

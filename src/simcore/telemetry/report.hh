@@ -4,8 +4,9 @@
  * revision, every registry scalar/histogram/series/flow table — as
  * JSON (machine-readable, jq-friendly) or CSV (series, for plotting).
  *
- * capture() snapshots the registry *by value* at a chosen instant, so
- * the report stays valid after the Simulation and its components are
+ * capture() snapshots the registry *by value* at a chosen instant and
+ * encodes the Sampler's timeline into one series per probe, so the
+ * report stays valid after the Simulation and its components are
  * torn down; writers are pure functions of the snapshot.  All output
  * is registration-ordered and locale-independent (strprintf with
  * explicit formats), keeping report bytes deterministic for a given
@@ -25,6 +26,8 @@
 
 #include "simcore/table.hh"
 #include "simcore/telemetry/registry.hh"
+#include "simcore/telemetry/sampler.hh"
+#include "simcore/trace.hh"
 #include "simcore/types.hh"
 
 namespace ioat::sim::telemetry {
@@ -57,16 +60,19 @@ class RunReport
     /** @} */
 
     /**
-     * Snapshot @p reg: read every scalar, copy every histogram and
-     * probe series, materialize every flow table.  Call while the
-     * instrumented components are still alive (typically right after
-     * the measurement window, before teardown).
+     * Snapshot @p timeline's registry: read every scalar, copy every
+     * histogram, derive every probe's series from the timeline and
+     * materialize every flow table.  Call while the instrumented
+     * components are still alive (typically right after the
+     * measurement window, before teardown).
      */
     void
-    capture(const Registry &reg, Tick now)
+    capture(const Sampler &timeline, Tick now)
     {
+        const Registry &reg = timeline.registry();
         capturedAt_ = now;
-        captured_ = true;
+        seriesStart_ = timeline.startTick();
+        seriesInterval_ = timeline.interval();
         scalars_.clear();
         hists_.clear();
         series_.clear();
@@ -75,16 +81,28 @@ class RunReport
             scalars_.push_back({s.name, s.read()});
         for (const auto &h : reg.histograms())
             hists_.push_back({h.name, h.scale, *h.hist});
-        for (const auto &p : reg.probes()) {
-            series_.push_back({p.name, p.kind, p.series});
-            hists_.push_back({p.name + ".dist", 1.0e-3, p.dist});
+        const auto &probes = reg.probes();
+        for (std::size_t p = 0; p < probes.size(); ++p) {
+            SeriesSample series{probes[p].name, probes[p].kind, {}};
+            // Milli-units (value * 1000, rounded), so fractional
+            // gauges like utilization keep three decimal digits
+            // through the integer histogram.
+            Histogram dist;
+            const std::size_t n = timeline.probeReadings(p).size();
+            for (std::size_t i = 0; i < n; ++i) {
+                const double v = timeline.seriesValue(p, i);
+                series.values.push_back(v);
+                const double milli = v * 1000.0;
+                dist.sample(milli > 0.0 ? static_cast<std::uint64_t>(
+                                              std::llround(milli))
+                                        : 0);
+            }
+            series_.push_back(std::move(series));
+            hists_.push_back({probes[p].name + ".dist", 1.0e-3, dist});
         }
         for (const auto &f : reg.flowSources())
             flows_.push_back({f.name, f.read()});
     }
-
-    bool captured() const { return captured_; }
-    Tick capturedAt() const { return capturedAt_; }
 
     /** @name JSON export
      *  @{ */
@@ -134,11 +152,11 @@ class RunReport
             os << (i ? "," : "") << "\n    " << quoted(s.name) << ": {"
                << "\"kind\": "
                << (s.kind == ProbeKind::delta ? "\"delta\"" : "\"gauge\"")
-               << ", \"startTick\": " << s.series.startTime().count()
-               << ", \"intervalTicks\": " << s.series.interval().count()
+               << ", \"startTick\": " << seriesStart_.count()
+               << ", \"intervalTicks\": " << seriesInterval_.count()
                << ", \"values\": [";
-            for (std::size_t j = 0; j < s.series.size(); ++j)
-                os << (j ? ", " : "") << number(s.series.at(j));
+            for (std::size_t j = 0; j < s.values.size(); ++j)
+                os << (j ? ", " : "") << number(s.values[j]);
             os << "]}";
         }
         os << (series_.empty() ? "" : "\n  ") << "},\n";
@@ -186,49 +204,20 @@ class RunReport
     {
         os << "series,tick,value\n";
         for (const auto &s : series_) {
-            for (std::size_t j = 0; j < s.series.size(); ++j) {
-                os << s.name << ',' << s.series.timeAt(j).count() << ','
-                   << number(s.series.at(j)) << '\n';
+            for (std::size_t j = 0; j < s.values.size(); ++j) {
+                const Tick at =
+                    seriesStart_ +
+                    seriesInterval_ * (static_cast<std::uint64_t>(j) + 1);
+                os << s.name << ',' << at.count() << ','
+                   << number(s.values[j]) << '\n';
             }
         }
-    }
-
-    bool
-    saveCsv(const std::string &path) const
-    {
-        std::ofstream os(path);
-        if (!os)
-            return false;
-        writeCsv(os);
-        return os.good();
     }
     /** @} */
 
-  private:
-    /** JSON string literal with the escapes our names can contain. */
-    static std::string
-    quoted(const std::string &s)
-    {
-        std::string out = "\"";
-        for (char c : s) {
-            switch (c) {
-              case '"': out += "\\\""; break;
-              case '\\': out += "\\\\"; break;
-              case '\n': out += "\\n"; break;
-              case '\t': out += "\\t"; break;
-              default:
-                if (static_cast<unsigned char>(c) < 0x20)
-                    out += strprintf("\\u%04x", c);
-                else
-                    out += c;
-            }
-        }
-        out += '"';
-        return out;
-    }
-
     /** Shortest round-trippable decimal; integers stay integral.
-     *  Non-finite values become 0 — JSON has no NaN/Inf literal. */
+     *  Non-finite values become 0 — JSON has no NaN/Inf literal.
+     *  The one number format of both timeline encoders. */
     static std::string
     number(double v)
     {
@@ -241,6 +230,13 @@ class RunReport
                                  static_cast<std::int64_t>(v)));
         }
         return strprintf("%.17g", v);
+    }
+
+  private:
+    static std::string
+    quoted(const std::string &s)
+    {
+        return '"' + jsonEscape(s) + '"';
     }
 
     static std::string
@@ -269,7 +265,7 @@ class RunReport
     {
         std::string name;
         ProbeKind kind;
-        TimeSeries series;
+        std::vector<double> values;
     };
 
     struct FlowTable
@@ -282,7 +278,8 @@ class RunReport
     std::uint64_t seed_ = 0;
     std::vector<std::pair<std::string, std::string>> config_;
     Tick capturedAt_{};
-    bool captured_ = false;
+    Tick seriesStart_{};    ///< every series shares the timeline's
+    Tick seriesInterval_{}; ///< start and spacing
     std::vector<ScalarSample> scalars_;
     std::vector<HistSample> hists_;
     std::vector<SeriesSample> series_;

@@ -2,21 +2,22 @@
  * @file
  * Session: one instrumented run, end to end.
  *
- * Construction walks the Simulation's Hub (every self-registered
- * component) into a fresh Registry, adds the simulator's built-in
- * probes ("sim.events" per interval, "sim.liveTasks"), and — when a
- * sampling interval is given — starts the deterministic Sampler.
- * `captureInto()` stops sampling and snapshots everything into a
- * RunReport.  A Session is what `--report`/`--sample-interval` turn
- * on in the bench harness; without one, no telemetry code runs at
- * all.
+ * Construction registers the simulator's own metrics — "sim.events"
+ * per interval, "sim.liveTasks" and the four event-wheel depths —
+ * walks the Simulation's Hub (every self-registered component) into
+ * the run's one Registry, and, when a sampling interval is given,
+ * starts the run's one Sampler.  `captureInto()` stops sampling and
+ * encodes the timeline into a RunReport; the OpenMetrics writer
+ * (snapshot.hh) encodes the same timeline.  A Session is what the
+ * bench harness opens for any artifact flag; without one, no
+ * telemetry code runs at all.
  */
 
 #ifndef IOAT_SIMCORE_TELEMETRY_SESSION_HH
 #define IOAT_SIMCORE_TELEMETRY_SESSION_HH
 
-#include <optional>
 #include <string>
+#include <utility>
 
 #include "simcore/sim.hh"
 #include "simcore/telemetry/registry.hh"
@@ -28,25 +29,17 @@ namespace ioat::sim::telemetry {
 class Session
 {
   public:
-    struct Config
-    {
-        /** Probe sampling spacing; 0 disables the sampler. */
-        Tick sampleInterval{};
-        std::size_t maxSamples = Sampler::kDefaultMaxSamples;
-    };
-
-    explicit Session(Simulation &sim) : Session(sim, Config{}) {}
-
-    Session(Simulation &sim, Config cfg) : sim_(sim)
+    /** @param sample_interval probe sampling spacing; 0 samples
+     *        nothing */
+    explicit Session(Simulation &sim, Tick sample_interval = Tick{0})
+        : sim_(sim), sampler_(sim, reg_, sample_interval)
     {
         {
             Registry::Scope scope(reg_, "sim");
+            EventQueue &q = sim.queue();
             reg_.probe(
                 "events", ProbeKind::delta,
-                [&sim] {
-                    return static_cast<double>(
-                        sim.queue().executedEvents());
-                },
+                [&q] { return static_cast<double>(q.executedEvents()); },
                 "events executed per interval");
             reg_.probe(
                 "liveTasks", ProbeKind::gauge,
@@ -54,13 +47,21 @@ class Session
                     return static_cast<double>(sim.liveRootTasks());
                 },
                 "live root coroutines");
+            using Depth = std::size_t (EventQueue::*)() const;
+            for (const auto &[level, depth] :
+                 {std::pair<const char *, Depth>{"L0", &EventQueue::l0Depth},
+                  {"L1", &EventQueue::l1Depth},
+                  {"L2", &EventQueue::l2Depth},
+                  {"Heap", &EventQueue::heapDepth}})
+                reg_.probe(
+                    std::string("queueDepth") + level, ProbeKind::gauge,
+                    [&q, d = depth] { return static_cast<double>((q.*d)()); },
+                    "pending events at this event-queue level");
         }
         sim.telemetry().instrumentAll(reg_);
-        if (cfg.sampleInterval > Tick{0}) {
-            sampler_.emplace(sim, reg_, cfg.sampleInterval,
-                             cfg.maxSamples);
-            sampler_->start();
-        }
+        sampler_.track();
+        if (sample_interval > Tick{0})
+            sampler_.start();
     }
 
     ~Session()
@@ -72,13 +73,17 @@ class Session
     Session(const Session &) = delete;
     Session &operator=(const Session &) = delete;
 
-    /** Instrument a component the Hub doesn't know (FaultInjector,
-     *  model-only rigs) under @p name. */
+    /**
+     * Instrument a component the Hub doesn't know (FaultInjector,
+     * model-only rigs) under @p name.  Its metrics are sampled from
+     * the first tick on, so call this before the first sample.
+     */
     void
     add(const std::string &name, Instrumented &component)
     {
         Registry::Scope scope(reg_, name);
         component.instrument(reg_);
+        sampler_.track();
     }
 
     /** Route component-internal traces into @p t (detached again at
@@ -90,22 +95,20 @@ class Session
         sim_.telemetry().attachTracerAll(t);
     }
 
-    Registry &registry() { return reg_; }
-    Sampler *sampler() { return sampler_ ? &*sampler_ : nullptr; }
+    Sampler &sampler() { return sampler_; }
 
-    /** Stop sampling and snapshot the registry into @p report. */
+    /** Stop sampling and encode the timeline into @p report. */
     void
     captureInto(RunReport &report)
     {
-        if (sampler_)
-            sampler_->stop();
-        report.capture(reg_, sim_.now());
+        sampler_.stop();
+        report.capture(sampler_, sim_.now());
     }
 
   private:
     Simulation &sim_;
     Registry reg_;
-    std::optional<Sampler> sampler_;
+    Sampler sampler_;
     TraceWriter *tracer_ = nullptr;
 };
 

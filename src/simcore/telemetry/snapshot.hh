@@ -1,118 +1,81 @@
 /**
  * @file
- * Periodic metrics snapshots: OpenMetrics-style gauge/counter dumps
- * sampled on simulated-time intervals.
+ * OpenMetrics encoder of the Sampler's timeline: every scalar and
+ * probe reading at every sampled tick, rendered in the
+ * Prometheus/OpenMetrics text exposition format (or a JSON twin for
+ * jq), so the queue depths, credit occupancy, ring depths and shed
+ * counters that are invisible in end-of-run totals become a
+ * reproducible time-lapse.
  *
- * Where the Sampler (sampler.hh) accumulates per-probe TimeSeries for
- * the RunReport, MetricsSnapshot captures the *whole registry* —
- * every scalar and probe — at fixed simulated ticks and renders the
- * result in the Prometheus/OpenMetrics text exposition format (or a
- * JSON twin for jq), so the queue depths, credit occupancy, ring
- * depths and shed counters that are invisible in end-of-run totals
- * become a reproducible time-lapse.
- *
- * Determinism contract (pinned by `ctest -L profile`):
- *
- *  - sampling is event-queue driven at fixed ticks, never wall-clock;
- *  - samples are taken by a lane-0 event.  Lane 0 sorts before every
- *    node lane, so a sample at tick T observes exactly the state after
- *    all events < T and before any node event at T, and the bytes are
- *    identical across reruns;
- *  - engine metrics (wheel depths, executed events, live tasks)
- *    describe the *simulator*, not the model — they are emitted only
- *    with Config::engine.
+ * A dotted registry name splits at its first dot into an instance
+ * ("node3") and an `ioat_`-prefixed family ("ioat_tcp_creditBytes");
+ * a name without a dot belongs to instance "sim".  Scalars and delta
+ * probes are written as counters (the raw reading, not the
+ * per-interval increase the RunReport series carries), gauge probes
+ * as gauges.  The bytes are a pure function of the timeline, so
+ * identical runs write identical files (pinned by `ctest -L
+ * profile`).
  */
 
 #ifndef IOAT_SIMCORE_TELEMETRY_SNAPSHOT_HH
 #define IOAT_SIMCORE_TELEMETRY_SNAPSHOT_HH
 
-#include <cstdint>
 #include <fstream>
-#include <functional>
 #include <map>
 #include <ostream>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "simcore/assert.hh"
-#include "simcore/sim.hh"
-#include "simcore/telemetry/registry.hh"
+#include "simcore/telemetry/report.hh"
+#include "simcore/telemetry/sampler.hh"
+#include "simcore/trace.hh"
 
 namespace ioat::sim::telemetry {
 
-class MetricsSnapshot
+class OpenMetricsWriter
 {
   public:
-    struct Config
+    /** Group @p timeline's columns into (family, instance) rows. */
+    explicit OpenMetricsWriter(const Sampler &timeline)
+        : timeline_(timeline)
     {
-        /** Spacing between snapshots (> 0). */
-        Tick interval = microseconds(100);
-        /** Stop after this many snapshot ticks. */
-        std::size_t maxSnapshots = 4096;
-        /** Also emit the engine (simulator-internals) section. */
-        bool engine = false;
-    };
-
-    MetricsSnapshot(Simulation &sim, Config cfg) : cfg_(cfg), sim_(sim)
-    {
-        simAssert(cfg_.interval > Tick{0},
-                  "snapshot interval must be > 0");
-        sim.telemetry().instrumentAll(reg_);
-        for (const auto &s : reg_.scalars())
-            addMetric(s.name, s.description, "counter",
-                      [read = s.read] { return read(); });
-        for (const auto &p : reg_.probes())
-            addMetric(p.name, p.description,
-                      p.kind == ProbeKind::delta ? "counter" : "gauge",
-                      [read = p.read] { return read(); });
-        if (cfg_.engine) {
-            EventQueue &q = sim.queue();
-            addEngine("queueDepthL0", "gauge", [&q] {
-                return static_cast<double>(q.l0Depth());
-            });
-            addEngine("queueDepthL1", "gauge", [&q] {
-                return static_cast<double>(q.l1Depth());
-            });
-            addEngine("queueDepthL2", "gauge", [&q] {
-                return static_cast<double>(q.l2Depth());
-            });
-            addEngine("queueDepthHeap", "gauge", [&q] {
-                return static_cast<double>(q.heapDepth());
-            });
-            addEngine("executedEvents", "counter", [&q] {
-                return static_cast<double>(q.executedEvents());
-            });
-            addEngine("liveTasks", "gauge", [&sim] {
-                return static_cast<double>(sim.liveRootTasks());
-            });
+        if (timeline.samplesTaken() == 0)
+            return;
+        const Registry &reg = timeline.registry();
+        for (std::size_t m = 0; m < reg.scalars().size(); ++m)
+            addColumn(reg.scalars()[m].name, reg.scalars()[m].description,
+                      "counter", timeline.scalarReadings(m));
+        for (std::size_t p = 0; p < reg.probes().size(); ++p) {
+            const auto &probe = reg.probes()[p];
+            addColumn(probe.name, probe.description,
+                      probe.kind == ProbeKind::delta ? "counter" : "gauge",
+                      timeline.probeReadings(p));
         }
-        arm();
     }
-
-    MetricsSnapshot(const MetricsSnapshot &) = delete;
-    MetricsSnapshot &operator=(const MetricsSnapshot &) = delete;
 
     /**
      * OpenMetrics text exposition: `# HELP`/`# TYPE` per family, then
      * `family{instance="node3"} value tick` lines sorted by (family,
-     * instance, tick).  Call after the run, before teardown.
+     * instance, tick).
      */
     void
     writeText(std::ostream &os) const
     {
         os << "# ioat-metrics-snapshot-v1\n";
-        const auto rows = collect();
-        std::string family;
-        for (const auto &[key, recs] : rows) {
-            if (key.family != family) {
-                family = key.family;
-                os << "# HELP " << family << " " << key.help << "\n";
-                os << "# TYPE " << family << " " << key.type << "\n";
+        const std::string *family = nullptr;
+        for (const auto &[key, row] : rows_) {
+            if (!family || *family != key.first) {
+                family = &key.first;
+                os << "# HELP " << key.first << " " << row.help << "\n";
+                os << "# TYPE " << key.first << " " << row.type << "\n";
             }
-            for (const auto &rec : recs)
-                os << family << "{instance=\"" << key.instance
-                   << "\"} " << formatValue(rec.value) << " "
-                   << rec.when.count() << "\n";
+            for (std::size_t i = 0; i < timeline_.samplesTaken(); ++i)
+                for (const auto *col : row.columns)
+                    os << key.first << "{instance=\"" << key.second
+                       << "\"} " << RunReport::number((*col)[i]) << " "
+                       << timeline_.timeAt(i).count() << "\n";
         }
         os << "# EOF\n";
     }
@@ -122,19 +85,24 @@ class MetricsSnapshot
     writeJson(std::ostream &os) const
     {
         os << "{\"schema\":\"ioat-metrics-snapshot-v1\",\n"
-           << "\"intervalTicks\":" << cfg_.interval.count() << ",\n"
+           << "\"intervalTicks\":" << timeline_.interval().count()
+           << ",\n"
            << "\"metrics\":[";
-        const auto rows = collect();
         bool first = true;
-        for (const auto &[key, recs] : rows) {
+        for (const auto &[key, row] : rows_) {
             os << (first ? "\n" : ",\n");
             first = false;
-            os << " {\"family\":\"" << key.family
-               << "\",\"instance\":\"" << key.instance
-               << "\",\"type\":\"" << key.type << "\",\"samples\":[";
-            for (std::size_t i = 0; i < recs.size(); ++i)
-                os << (i ? "," : "") << "[" << recs[i].when.count()
-                   << "," << formatValue(recs[i].value) << "]";
+            os << " {\"family\":\"" << jsonEscape(key.first)
+               << "\",\"instance\":\"" << jsonEscape(key.second)
+               << "\",\"type\":\"" << row.type << "\",\"samples\":[";
+            bool first_sample = true;
+            for (std::size_t i = 0; i < timeline_.samplesTaken(); ++i)
+                for (const auto *col : row.columns) {
+                    os << (first_sample ? "" : ",") << "["
+                       << timeline_.timeAt(i).count() << ","
+                       << RunReport::number((*col)[i]) << "]";
+                    first_sample = false;
+                }
             os << "]}";
         }
         os << "\n]}\n";
@@ -145,7 +113,7 @@ class MetricsSnapshot
     save(const std::string &path) const
     {
         std::ofstream out(path);
-        simAssert(out.good(), "cannot open metrics snapshot file");
+        simAssert(out.good(), "cannot open metrics file");
         const bool json = path.size() >= 5 &&
                           path.compare(path.size() - 5, 5, ".json") == 0;
         if (json)
@@ -155,115 +123,37 @@ class MetricsSnapshot
     }
 
   private:
-    /** One metric sampled every snapshot tick. */
-    struct Metric
+    /** Metrics sharing one (family, instance); the first registered
+     *  names the row's help and type. */
+    struct Row
     {
-        std::string family;   ///< ioat_-prefixed OpenMetrics name
-        std::string instance; ///< first dotted segment ("node3")
         std::string help;
-        const char *type; ///< "gauge" or "counter"
-        std::function<double()> read;
+        const char *type;
+        std::vector<const std::vector<double> *> columns;
     };
 
-    struct Rec
-    {
-        std::uint32_t metric;
-        Tick when;
-        double value;
-    };
-
-    /** Register one model metric from its dotted registry name. */
     void
-    addMetric(const std::string &qualified, const std::string &help,
-              const char *type, std::function<double()> read)
+    addColumn(const std::string &qualified, const std::string &help,
+              const char *type, const std::vector<double> &readings)
     {
         const std::size_t dot = qualified.find('.');
-        std::string instance =
-            dot == std::string::npos ? std::string("sim")
-                                     : qualified.substr(0, dot);
+        std::string instance = dot == std::string::npos
+                                   ? std::string("sim")
+                                   : qualified.substr(0, dot);
         std::string metric = dot == std::string::npos
                                  ? qualified
                                  : qualified.substr(dot + 1);
         for (char &c : metric)
             if (c == '.')
                 c = '_';
-        metrics_.push_back(Metric{"ioat_" + metric, std::move(instance),
-                                  help, type, std::move(read)});
+        auto row = rows_.try_emplace(
+            {"ioat_" + metric, std::move(instance)}, Row{help, type, {}});
+        row.first->second.columns.push_back(&readings);
     }
 
-    void
-    addEngine(const char *name, const char *type,
-              std::function<double()> read)
-    {
-        metrics_.push_back(Metric{std::string("ioat_engine_") + name,
-                                  "sim", "simulator engine internals",
-                                  type, std::move(read)});
-    }
-
-    /**
-     * Self-rearming lane-0 snapshot event.  Setup and rearm both run
-     * on lane 0, so every sample sorts before node work at its tick.
-     */
-    void
-    arm()
-    {
-        sim_.queue().scheduleIn(cfg_.interval, [this] {
-            const Tick now = sim_.now();
-            for (std::uint32_t i = 0;
-                 i < static_cast<std::uint32_t>(metrics_.size()); ++i)
-                recs_.push_back(Rec{i, now, metrics_[i].read()});
-            if (++taken_ < cfg_.maxSnapshots)
-                arm();
-        });
-    }
-
-    struct RowKey
-    {
-        std::string family;
-        std::string instance;
-        std::string help;
-        const char *type;
-
-        bool
-        operator<(const RowKey &o) const
-        {
-            if (family != o.family)
-                return family < o.family;
-            return instance < o.instance;
-        }
-    };
-
-    /** Group the records into sorted (family, instance) rows; each
-     *  row keeps its records in tick order. */
-    std::map<RowKey, std::vector<Rec>>
-    collect() const
-    {
-        std::map<RowKey, std::vector<Rec>> rows;
-        for (const auto &rec : recs_) {
-            const Metric &m = metrics_[rec.metric];
-            rows[RowKey{m.family, m.instance, m.help, m.type}]
-                .push_back(rec);
-        }
-        return rows;
-    }
-
-    /** Integers stay integral; everything model-side is integral. */
-    static std::string
-    formatValue(double v)
-    {
-        if (v == static_cast<double>(static_cast<std::int64_t>(v)))
-            return strprintf("%lld",
-                             static_cast<long long>(
-                                 static_cast<std::int64_t>(v)));
-        return strprintf("%.17g", v);
-    }
-
-    Config cfg_;
-    Simulation &sim_;
-    Registry reg_; ///< keeps probe read-lambdas alive
-    std::vector<Metric> metrics_;
-    std::vector<Rec> recs_;
-    std::size_t taken_ = 0;
+    const Sampler &timeline_;
+    /** Keyed (family, instance): std::map keeps the output sorted. */
+    std::map<std::pair<std::string, std::string>, Row> rows_;
 };
 
 } // namespace ioat::sim::telemetry

@@ -24,6 +24,7 @@
 #include <ostream>
 #include <set>
 #include <string>
+#include <string_view>
 #include <utility>
 #include <vector>
 
@@ -31,6 +32,40 @@
 #include "simcore/types.hh"
 
 namespace ioat::sim {
+
+/**
+ * JSON string escape: quotes, backslashes, and *all* control
+ * characters (embedded newlines/tabs in a hostile name must not break
+ * the document).  Every JSON writer in the tree routes its strings
+ * through this one function.
+ */
+inline std::string
+jsonEscape(std::string_view s)
+{
+    static constexpr char hex[] = "0123456789abcdef";
+    std::string out;
+    out.reserve(s.size());
+    for (char c : s) {
+        const auto u = static_cast<unsigned char>(c);
+        if (c == '"' || c == '\\') {
+            out.push_back('\\');
+            out.push_back(c);
+        } else if (c == '\n') {
+            out += "\\n";
+        } else if (c == '\t') {
+            out += "\\t";
+        } else if (c == '\r') {
+            out += "\\r";
+        } else if (u < 0x20) {
+            out += "\\u00";
+            out.push_back(hex[(u >> 4) & 0xf]);
+            out.push_back(hex[u & 0xf]);
+        } else {
+            out.push_back(c);
+        }
+    }
+    return out;
+}
 
 /**
  * Collects trace events and serializes them as Trace Event JSON.
@@ -120,8 +155,9 @@ class TraceWriter
             if (!first)
                 os << ",\n";
             first = false;
-            os << "  {\"name\":\"" << escape(e.name) << "\",\"cat\":\""
-               << escape(e.category) << "\",\"ph\":\"" << phase(e.kind)
+            os << "  {\"name\":\"" << jsonEscape(e.name)
+               << "\",\"cat\":\"" << jsonEscape(e.category)
+               << "\",\"ph\":\"" << phase(e.kind)
                << "\",\"ts\":" << toMicroseconds(e.start);
             if (e.kind == Kind::Complete)
                 os << ",\"dur\":" << toMicroseconds(e.duration);
@@ -226,7 +262,7 @@ class TraceWriter
                 os << ",\n";
             first = false;
             os << "  {\"name\":\"process_name\",\"ph\":\"M\",\"pid\":"
-               << pid << ",\"args\":{\"name\":\"" << escape(name)
+               << pid << ",\"args\":{\"name\":\"" << jsonEscape(name)
                << "\"}}";
         }
         for (const auto &key : lanes) {
@@ -241,41 +277,9 @@ class TraceWriter
             first = false;
             os << "  {\"name\":\"thread_name\",\"ph\":\"M\",\"pid\":"
                << pid << ",\"tid\":" << lane
-               << ",\"args\":{\"name\":\"" << escape(name) << "\"}}";
+               << ",\"args\":{\"name\":\"" << jsonEscape(name)
+               << "\"}}";
         }
-    }
-
-    /**
-     * JSON string escape: quotes, backslashes, and *all* control
-     * characters (embedded newlines/tabs in a hostile name must not
-     * break the document).
-     */
-    static std::string
-    escape(const std::string &s)
-    {
-        static constexpr char hex[] = "0123456789abcdef";
-        std::string out;
-        out.reserve(s.size());
-        for (char c : s) {
-            const auto u = static_cast<unsigned char>(c);
-            if (c == '"' || c == '\\') {
-                out.push_back('\\');
-                out.push_back(c);
-            } else if (c == '\n') {
-                out += "\\n";
-            } else if (c == '\t') {
-                out += "\\t";
-            } else if (c == '\r') {
-                out += "\\r";
-            } else if (u < 0x20) {
-                out += "\\u00";
-                out.push_back(hex[(u >> 4) & 0xf]);
-                out.push_back(hex[u & 0xf]);
-            } else {
-                out.push_back(c);
-            }
-        }
-        return out;
     }
 
     std::vector<Event> events_;

@@ -364,10 +364,7 @@ TEST(ChaosTelemetry, RunReportEchoesOutagePlanAndLifecycle)
     EXPECT_EQ(lifecycle.crashes(), 2u);
     EXPECT_EQ(lifecycle.restarts(), 2u);
 
-    sim::telemetry::Session session(
-        sim, sim::telemetry::Session::Config{
-                 sim::microseconds(100),
-                 sim::telemetry::Sampler::kDefaultMaxSamples});
+    sim::telemetry::Session session(sim, sim::microseconds(100));
     session.add("fault", faults);
     session.add("lifecycle", lifecycle);
 

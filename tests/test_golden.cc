@@ -102,8 +102,7 @@ renderFig03Impl(bool with_idle_session)
             // model: same golden digest as the bare run.
             std::optional<sim::telemetry::Session> session;
             if (with_idle_session)
-                session.emplace(
-                    sim, sim::telemetry::Session::Config{sim::Tick{0}, 0});
+                session.emplace(sim);
 
             const std::size_t chunk = 64 * 1024;
             sim.spawn(streamSinkLoop(b, 5001, {.recvChunk = chunk},

@@ -2,9 +2,9 @@
  * @file
  * Profiling-plane suite: folded-stack attribution against hand-counted
  * intervals, the partition property on a real datacenter run, the
- * profiler-off byte-identity guarantee, metrics-snapshot determinism
- * across reruns, bench flag parsing, and CLI checks for tracediff.py /
- * benchdiff.py on known fixtures.
+ * profiler-off byte-identity guarantee, OpenMetrics timeline
+ * determinism across reruns, bench flag parsing, and CLI checks for
+ * tracediff.py / benchdiff.py on known fixtures.
  *
  * `ctest -L profile` runs just this suite.
  */
@@ -221,12 +221,12 @@ TEST(Profile, FoldedOutputIsDeterministicAcrossReruns)
 }
 
 // --------------------------------------------------------------------
-// Metrics snapshots: determinism across reruns
+// OpenMetrics timeline: determinism across reruns
 // --------------------------------------------------------------------
 
-/** Two-node stream; returns the snapshot text. */
+/** Two-node stream; returns the OpenMetrics text. */
 std::string
-snapshotStream(bool engine = false)
+metricsStream()
 {
     Simulation sim;
     core::Testbed tb(sim, core::TestbedConfig{
@@ -237,10 +237,7 @@ snapshotStream(bool engine = false)
     core::Node &sink = tb.server(0);
     core::Node &sender = tb.server(1);
 
-    sim::telemetry::MetricsSnapshot::Config mcfg;
-    mcfg.interval = sim::microseconds(20);
-    mcfg.engine = engine;
-    sim::telemetry::MetricsSnapshot snap(sim, mcfg);
+    sim::telemetry::Session session(sim, sim::microseconds(20));
 
     core::AppMemory mem(sink.host(), "sink");
     const std::size_t chunk = 64 * 1024;
@@ -251,46 +248,31 @@ snapshotStream(bool engine = false)
     sim.runUntil(sim::milliseconds(2));
 
     std::ostringstream os;
-    snap.writeText(os);
+    sim::telemetry::OpenMetricsWriter(session.sampler()).writeText(os);
     return os.str();
 }
 
 // Samples are taken by lane-0 events at exact tick cuts, so a rerun
 // of the same scenario renders identical bytes.
-TEST(Profile, MetricsSnapshotBytesIdenticalAcrossReruns)
+TEST(Profile, OpenMetricsBytesIdenticalAcrossReruns)
 {
-    const std::string s1 = snapshotStream();
+    const std::string s1 = metricsStream();
     ASSERT_FALSE(s1.empty());
     EXPECT_NE(s1.find("# ioat-metrics-snapshot-v1"), std::string::npos);
     EXPECT_NE(s1.find("# EOF"), std::string::npos);
-    // Wheel/credit gauges the snapshot plane was built to expose.
+    // Wheel/credit gauges the timeline was built to expose.
     EXPECT_NE(s1.find("ioat_tcp_creditBytes"), std::string::npos);
     EXPECT_NE(s1.find("instance=\"node0\""), std::string::npos);
+    EXPECT_NE(s1.find("ioat_queueDepthL0{instance=\"sim\"}"),
+              std::string::npos);
+    EXPECT_NE(s1.find("ioat_events{instance=\"sim\"}"),
+              std::string::npos);
 
-    EXPECT_EQ(s1, snapshotStream()) << "rerun";
-}
-
-// Engine metrics (wheel depths, executed events, live tasks) describe
-// the simulator, not the model: they are opt-in, and the model
-// section must stay byte-identical when they are enabled.
-TEST(Profile, EngineSectionIsOptInAndLeavesModelSectionIntact)
-{
-    const std::string off = snapshotStream(false);
-    const std::string on = snapshotStream(true);
-    EXPECT_EQ(off.find("ioat_engine_"), std::string::npos);
-    EXPECT_NE(on.find("ioat_engine_queueDepthL0"), std::string::npos);
-
-    // Strip engine families; what remains is the model section.
-    std::istringstream in(on);
-    std::string line, model;
-    while (std::getline(in, line))
-        if (line.find("ioat_engine_") == std::string::npos)
-            model += line + "\n";
-    EXPECT_EQ(model, off);
+    EXPECT_EQ(s1, metricsStream()) << "rerun";
 }
 
 // The JSON twin carries the same samples and validates as a schema.
-TEST(Profile, MetricsSnapshotJsonTwinIsDeterministic)
+TEST(Profile, OpenMetricsJsonTwinIsDeterministic)
 {
     auto render = [] {
         Simulation sim;
@@ -301,9 +283,7 @@ TEST(Profile, MetricsSnapshotJsonTwinIsDeterministic)
                               });
         core::Node &sink = tb.server(0);
         core::Node &sender = tb.server(1);
-        sim::telemetry::MetricsSnapshot::Config mcfg;
-        mcfg.interval = sim::microseconds(50);
-        sim::telemetry::MetricsSnapshot snap(sim, mcfg);
+        sim::telemetry::Session session(sim, sim::microseconds(50));
         core::AppMemory mem(sink.host(), "sink");
         sink.spawn(bench::streamSinkLoop(sink, 5001,
                                          {.recvChunk = 64 * 1024},
@@ -312,7 +292,7 @@ TEST(Profile, MetricsSnapshotJsonTwinIsDeterministic)
                                              64 * 1024));
         sim.runUntil(sim::milliseconds(1));
         std::ostringstream os;
-        snap.writeJson(os);
+        sim::telemetry::OpenMetricsWriter(session.sampler()).writeJson(os);
         return os.str();
     };
     const std::string a = render();
@@ -330,7 +310,7 @@ TEST(Profile, TelemetryRunWritesProfileAndMetricsArtifacts)
     bench::Options opts("test_profile");
     const char *argv[] = {"test_profile", "--profile",
                           "tp_prof.folded", "--metrics",
-                          "tp_metrics.txt", "--metrics-interval", "50"};
+                          "tp_metrics.txt", "--sample-interval", "50"};
     ASSERT_TRUE(opts.parse(7, const_cast<char **>(argv)));
     EXPECT_TRUE(opts.wantProfile());
     EXPECT_TRUE(opts.wantMetrics());
@@ -344,7 +324,7 @@ TEST(Profile, TelemetryRunWritesProfileAndMetricsArtifacts)
                           });
     bench::TelemetryRun tr(sim, opts);
     ASSERT_NE(tr.profiler(), nullptr);
-    ASSERT_NE(tr.metrics(), nullptr);
+    ASSERT_TRUE(tr.session().sampler().running());
     dc::DcConfig cfg;
     dc::SingleFileWorkload wl(4096, 100);
     dc::WebServer server(tb.server(1), cfg, wl);
@@ -373,6 +353,8 @@ TEST(Profile, TelemetryRunWritesProfileAndMetricsArtifacts)
     ms << met.rdbuf();
     EXPECT_NE(ms.str().find("# ioat-metrics-snapshot-v1"),
               std::string::npos);
+    // The first sample lands one --sample-interval in.
+    EXPECT_NE(ms.str().find(" 50000\n"), std::string::npos);
     std::remove("tp_prof.folded");
     std::remove("tp_metrics.txt");
 }
@@ -406,9 +388,8 @@ TEST(Profile, BenchOptionsRejectMalformedNumbers)
         {"--sample-interval", "x"},
         {"--sample-interval", "0"},
         {"--sample-interval", "100us"},
-        {"--metrics-interval", "x"},
-        {"--metrics-interval", "-5"},
-        {"--metrics-interval", "99999999999999999999"},
+        {"--sample-interval", "-5"},
+        {"--sample-interval", "99999999999999999999"},
         {"--max-clients", "foo"},
         {"--max-clients", ""},
         {"--max-clients", "-8"},
@@ -416,9 +397,12 @@ TEST(Profile, BenchOptionsRejectMalformedNumbers)
         {"--max-clients", "inf"},
         {"--max-clients", "nan"},
         {"--max-clients", "1e999"},
-        // The sharded engine's flag, spelled split so a tree-wide
-        // search for the removed flag comes up empty.
+        // Removed flags, spelled split so a tree-wide search for them
+        // comes up empty: the sharded engine's, and the second
+        // sampler's interval and engine switch.
         {"--" "shards", "2"},
+        {"--" "metrics-" "interval", "100"},
+        {"--" "metrics-" "engine", "x"},
     };
     for (const auto &args : bad) {
         bench::Options opts("test_profile");
@@ -433,12 +417,10 @@ TEST(Profile, BenchOptionsRejectMalformedNumbers)
     opts.knob("max-clients", &knob, "sweep bound");
     EXPECT_EQ(parseExit(opts, {"--seed", "18446744073709551615",
                                "--sample-interval", "250",
-                               "--metrics-interval", "50",
                                "--max-clients", "16.5"}),
               -1);
     EXPECT_EQ(opts.seed(), 18446744073709551615ull);
     EXPECT_EQ(opts.sampleInterval(), sim::microseconds(250));
-    EXPECT_EQ(opts.metricsInterval(), sim::microseconds(50));
     EXPECT_EQ(knob, 16.5);
 }
 

@@ -713,19 +713,6 @@ TEST(Stats, TimeWeightedWindowReset)
     EXPECT_DOUBLE_EQ(tw.average(ioat::sim::Tick{20}), 4.0);
 }
 
-TEST(Stats, Log2HistogramBuckets)
-{
-    stats::Log2Histogram h;
-    h.sample(1);
-    h.sample(2);
-    h.sample(3);
-    h.sample(1024);
-    EXPECT_EQ(h.count(), 4u);
-    EXPECT_EQ(h.bucket(0), 1u);  // value 1
-    EXPECT_EQ(h.bucket(1), 2u);  // values 2,3
-    EXPECT_EQ(h.bucket(10), 1u); // value 1024
-}
-
 // --------------------------------------------------------------------
 // Types / units
 // --------------------------------------------------------------------

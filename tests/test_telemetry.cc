@@ -4,19 +4,24 @@
  *
  *  - Histogram bucket math: exact buckets below the linear limit,
  *    bounded relative error above it, quantile estimates.
- *  - Sampler/TimeSeries: delta vs gauge semantics, the max-samples
- *    termination guarantee, byte-identical series across identical
- *    runs, and the sampling-changes-nothing contract (enabling the
- *    sampler must not perturb model outcomes).
+ *  - Sampler: delta vs gauge semantics, the max-samples termination
+ *    guarantee, byte-identical series across identical runs, and the
+ *    sampling-changes-nothing contract (enabling the sampler must not
+ *    perturb model outcomes).
+ *  - Session: components added outside the Hub are sampled from the
+ *    first tick, and the two timeline encoders (RunReport series and
+ *    OpenMetrics rows) describe the same samples.
  *  - RunReport: emitted JSON carries every required key (schema,
  *    bench, seed, gitRev, config echo, dotted stats, histograms with
- *    quantiles, series, flows) and is byte-deterministic; CSV export
- *    round-trips the series.
+ *    quantiles, series, flows), escapes hostile names and is
+ *    byte-deterministic; CSV export round-trips the series.
  */
 
 #include <cstdint>
+#include <cstdlib>
 #include <sstream>
 #include <string>
+#include <vector>
 
 #include <gtest/gtest.h>
 
@@ -32,6 +37,7 @@ using core::NodeConfig;
 using sim::Coro;
 using sim::Simulation;
 using sim::telemetry::Histogram;
+using sim::telemetry::OpenMetricsWriter;
 using sim::telemetry::ProbeKind;
 using sim::telemetry::Registry;
 using sim::telemetry::RunReport;
@@ -119,7 +125,7 @@ TEST(Histogram, EmptyAndReset)
     EXPECT_EQ(h.max(), 0u);
 }
 
-// ---- Sampler / TimeSeries ------------------------------------------
+// ---- Sampler -------------------------------------------------------
 
 TEST(Sampler, DeltaAndGaugeSemantics)
 {
@@ -134,30 +140,31 @@ TEST(Sampler, DeltaAndGaugeSemantics)
         sim.queue().scheduleIn(sim::microseconds(5 + 10 * i),
                                [&counter] { counter += 1.0; });
 
-    Sampler sampler(sim, reg, sim::microseconds(10), 16);
+    Sampler sampler(sim, reg, sim::microseconds(10));
     sampler.start();
     sim.run();
 
-    // The cap both bounds the series and guarantees run() terminated.
-    EXPECT_EQ(sampler.samplesTaken(), 16u);
+    // The cap both bounds the timeline and guarantees run() terminated.
+    EXPECT_EQ(sampler.samplesTaken(), Sampler::kMaxSamples);
     EXPECT_FALSE(sampler.running());
 
-    const auto &deltas = reg.probes()[0].series;
-    const auto &levels = reg.probes()[1].series;
-    ASSERT_EQ(deltas.size(), 16u);
-    ASSERT_EQ(levels.size(), 16u);
+    ASSERT_EQ(sampler.probeReadings(0).size(), Sampler::kMaxSamples);
+    ASSERT_EQ(sampler.probeReadings(1).size(), Sampler::kMaxSamples);
     double sum = 0.0;
-    for (std::size_t i = 0; i < deltas.size(); ++i) {
-        EXPECT_DOUBLE_EQ(deltas.at(i), i < 10 ? 1.0 : 0.0) << "i=" << i;
-        sum += deltas.at(i);
+    for (std::size_t i = 0; i < Sampler::kMaxSamples; ++i) {
+        EXPECT_DOUBLE_EQ(sampler.seriesValue(0, i), i < 10 ? 1.0 : 0.0)
+            << "i=" << i;
+        sum += sampler.seriesValue(0, i);
     }
     EXPECT_DOUBLE_EQ(sum, counter); // deltas reassemble the counter
-    EXPECT_DOUBLE_EQ(levels.at(0), 1.0);
-    EXPECT_DOUBLE_EQ(levels.at(15), 10.0);
+    EXPECT_DOUBLE_EQ(sampler.seriesValue(1, 0), 1.0);
+    EXPECT_DOUBLE_EQ(sampler.seriesValue(1, 15), 10.0);
+    // Both kinds keep the raw reading; only the series differ.
+    EXPECT_EQ(sampler.probeReadings(0), sampler.probeReadings(1));
 
     // The timeline metadata positions every sample.
-    EXPECT_EQ(deltas.interval(), sim::microseconds(10));
-    EXPECT_EQ(deltas.timeAt(0), sim::microseconds(10));
+    EXPECT_EQ(sampler.interval(), sim::microseconds(10));
+    EXPECT_EQ(sampler.timeAt(0), sim::microseconds(10));
 }
 
 // Two-node stream used by the end-to-end telemetry tests.
@@ -191,9 +198,7 @@ runStream(bool with_sampling)
 
     std::optional<Session> session;
     if (with_sampling)
-        session.emplace(sim,
-                        Session::Config{sim::microseconds(100),
-                                        Sampler::kDefaultMaxSamples});
+        session.emplace(sim, sim::microseconds(100));
 
     sim.spawn(sinkTask(b));
     sim.spawn(senderTask(a, b.id()));
@@ -218,9 +223,7 @@ reportJson()
     Node a(sim, fabric, NodeConfig::server(IoatConfig::enabled(), 1));
     Node b(sim, fabric, NodeConfig::server(IoatConfig::enabled(), 1));
 
-    Session session(sim,
-                    Session::Config{sim::microseconds(100),
-                                    Sampler::kDefaultMaxSamples});
+    Session session(sim, sim::microseconds(100));
     sim.spawn(sinkTask(b));
     sim.spawn(senderTask(a, b.id()));
     sim.runFor(sim::milliseconds(20));
@@ -229,6 +232,8 @@ reportJson()
     report.setBench("test_telemetry");
     report.setSeed(7);
     report.addConfig("streams", "1");
+    // A hostile name: a quote, a newline and a raw control byte.
+    report.addConfig("odd\"key\nwith\x01" "ctl", "2");
     session.captureInto(report);
 
     std::ostringstream os;
@@ -241,6 +246,195 @@ TEST(Sampler, IdenticalRunsProduceIdenticalReports)
     // Series content, flow tables and report bytes are all pure
     // functions of the simulated run.
     EXPECT_EQ(reportJson(), reportJson());
+}
+
+// ---- Session: one timeline, two encoders ---------------------------
+
+/** A component the Hub doesn't know: a gauge and a delta probe over
+ *  one counter that already reads 100 when sampling starts. */
+struct Ticker : sim::telemetry::Instrumented
+{
+    double count = 100.0;
+
+    void
+    instrument(Registry &reg) override
+    {
+        reg.probe("level", ProbeKind::gauge, [this] { return count; });
+        reg.probe("bumps", ProbeKind::delta, [this] { return count; });
+    }
+};
+
+TEST(Session, AddedComponentIsSampledFromTheFirstTick)
+{
+    Simulation sim;
+    Ticker ticker;
+    // One +1 bump every 10 us: ten per 100 us sampling interval.
+    for (int i = 0; i < 30; ++i)
+        sim.queue().scheduleIn(sim::microseconds(5 + 10 * i),
+                               [&ticker] { ticker.count += 1.0; });
+    Session session(sim, sim::microseconds(100));
+    session.add("ticker", ticker);
+    sim.runUntil(sim::microseconds(300));
+    ASSERT_EQ(session.sampler().samplesTaken(), 3u);
+
+    RunReport report;
+    session.captureInto(report);
+    std::ostringstream rj;
+    report.writeJson(rj);
+    const std::string json = rj.str();
+    // The Session's interval, and a first delta of one interval's
+    // increase (not the counter's whole value).
+    EXPECT_NE(json.find("\"ticker.level\": {\"kind\": \"gauge\", "
+                        "\"startTick\": 0, \"intervalTicks\": 100000, "
+                        "\"values\": [110, 120, 130]}"),
+              std::string::npos)
+        << json;
+    EXPECT_NE(json.find("\"ticker.bumps\": {\"kind\": \"delta\", "
+                        "\"startTick\": 0, \"intervalTicks\": 100000, "
+                        "\"values\": [10, 10, 10]}"),
+              std::string::npos)
+        << json;
+
+    std::ostringstream om;
+    OpenMetricsWriter(session.sampler()).writeText(om);
+    const std::string text = om.str();
+    EXPECT_NE(text.find("# TYPE ioat_level gauge\n"
+                        "ioat_level{instance=\"ticker\"} 110 100000\n"),
+              std::string::npos)
+        << text;
+    EXPECT_NE(text.find("# TYPE ioat_bumps counter\n"
+                        "ioat_bumps{instance=\"ticker\"} 110 100000\n"
+                        "ioat_bumps{instance=\"ticker\"} 120 200000\n"
+                        "ioat_bumps{instance=\"ticker\"} 130 300000\n"),
+              std::string::npos)
+        << text;
+
+    // Added after the first sample, its series would be misaligned.
+    Ticker late;
+    EXPECT_DEATH(session.add("late", late), "after the first sample");
+}
+
+/** One report series: its timeline and its values as written. */
+struct ReportSeries
+{
+    std::uint64_t startTick = 0;
+    std::uint64_t intervalTicks = 0;
+    std::vector<std::string> values;
+};
+
+/** Parse series @p name out of a RunReport JSON document. */
+ReportSeries
+reportSeries(const std::string &json, const std::string &name)
+{
+    ReportSeries out;
+    std::size_t at = json.find("\"" + name + "\": {\"kind\"");
+    if (at == std::string::npos)
+        return out;
+    const std::string line = json.substr(at, json.find('\n', at) - at);
+    auto field = [&line](const std::string &key) {
+        const std::size_t pos = line.find("\"" + key + "\": ");
+        return std::strtoull(line.c_str() + pos + key.size() + 4,
+                             nullptr, 10);
+    };
+    out.startTick = field("startTick");
+    out.intervalTicks = field("intervalTicks");
+    std::string list = line.substr(line.find('[') + 1);
+    list = list.substr(0, list.find(']'));
+    std::istringstream in(list);
+    std::string item;
+    while (std::getline(in, item, ','))
+        out.values.push_back(item.substr(item.find_first_not_of(' ')));
+    return out;
+}
+
+/** One OpenMetrics sample line: value as written, and its tick. */
+struct MetricRow
+{
+    std::string value;
+    std::uint64_t tick;
+};
+
+/** Every `family{instance="instance"} value tick` line, in order. */
+std::vector<MetricRow>
+metricRows(const std::string &text, const std::string &family,
+           const std::string &instance)
+{
+    const std::string prefix =
+        family + "{instance=\"" + instance + "\"} ";
+    std::vector<MetricRow> rows;
+    std::istringstream in(text);
+    std::string line;
+    while (std::getline(in, line)) {
+        if (line.compare(0, prefix.size(), prefix) != 0)
+            continue;
+        std::istringstream fields(line.substr(prefix.size()));
+        MetricRow row;
+        fields >> row.value >> row.tick;
+        rows.push_back(row);
+    }
+    return rows;
+}
+
+TEST(Session, ReportAndOpenMetricsEncodeTheSameSamples)
+{
+    Simulation sim;
+    net::Switch fabric(sim, sim::nanoseconds(2000));
+    Node a(sim, fabric, NodeConfig::server(IoatConfig::enabled(), 1));
+    Node b(sim, fabric, NodeConfig::server(IoatConfig::enabled(), 1));
+    sim.spawn(sinkTask(b));
+    sim.spawn(senderTask(a, b.id()));
+    sim.runFor(sim::milliseconds(1)); // the timeline starts mid-run
+    Session session(sim, sim::microseconds(100));
+    sim.runFor(sim::milliseconds(5));
+
+    RunReport report;
+    session.captureInto(report);
+    ASSERT_EQ(session.sampler().startTick(), sim::milliseconds(1));
+    std::ostringstream rj, om;
+    report.writeJson(rj);
+    OpenMetricsWriter(session.sampler()).writeText(om);
+
+    // A gauge: the OpenMetrics rows are the report series, value for
+    // value, and row i sits at startTick + intervalTicks * (i + 1).
+    const ReportSeries busy =
+        reportSeries(rj.str(), "node1.cpu.busyCores");
+    const auto busyRows =
+        metricRows(om.str(), "ioat_cpu_busyCores", "node1");
+    ASSERT_EQ(busy.values.size(), 50u);
+    ASSERT_EQ(busyRows.size(), busy.values.size());
+    bool busyMoved = false;
+    for (std::size_t i = 0; i < busyRows.size(); ++i) {
+        EXPECT_EQ(busyRows[i].value, busy.values[i]) << "i=" << i;
+        EXPECT_EQ(busyRows[i].tick,
+                  busy.startTick + busy.intervalTicks * (i + 1))
+            << "i=" << i;
+        busyMoved |= busy.values[i] != "0";
+    }
+    EXPECT_TRUE(busyMoved) << "the receiver's cores never looked busy";
+
+    // A delta: from the second sample on, each report value is the
+    // difference of consecutive counter rows.
+    const ReportSeries wire =
+        reportSeries(rj.str(), "node1.nic.wireBytes");
+    const auto wireRows =
+        metricRows(om.str(), "ioat_nic_wireBytes", "node1");
+    ASSERT_EQ(wire.values.size(), 50u);
+    ASSERT_EQ(wireRows.size(), wire.values.size());
+    double moved = 0.0;
+    for (std::size_t i = 0; i < wireRows.size(); ++i) {
+        EXPECT_EQ(wireRows[i].tick,
+                  wire.startTick + wire.intervalTicks * (i + 1))
+            << "i=" << i;
+        if (i == 0)
+            continue;
+        const double v = std::strtod(wire.values[i].c_str(), nullptr);
+        EXPECT_EQ(v, std::strtod(wireRows[i].value.c_str(), nullptr) -
+                         std::strtod(wireRows[i - 1].value.c_str(),
+                                     nullptr))
+            << "i=" << i;
+        moved += v;
+    }
+    EXPECT_GT(moved, 0.0) << "no wire bytes crossed the receiver's NIC";
 }
 
 // ---- RunReport -----------------------------------------------------
@@ -280,6 +474,12 @@ TEST(RunReport, JsonCarriesRequiredKeys)
     EXPECT_NE(json.find("\"flows\""), std::string::npos);
     EXPECT_NE(json.find("\"bytesReceived\""), std::string::npos);
     EXPECT_NE(json.find("\"handshakeTicks\""), std::string::npos);
+
+    // The hostile config key is escaped, never written raw.
+    EXPECT_EQ(json.find('\x01'), std::string::npos);
+    EXPECT_EQ(json.find("key\nwith"), std::string::npos);
+    EXPECT_NE(json.find("\"odd\\\"key\\nwith\\u0001ctl\": \"2\""),
+              std::string::npos);
 }
 
 TEST(RunReport, CsvExportsSeries)
@@ -290,12 +490,14 @@ TEST(RunReport, CsvExportsSeries)
     reg.probe("signal", ProbeKind::gauge, [&v] { return v; });
     sim.queue().scheduleIn(sim::microseconds(15), [&v] { v = 2.5; });
 
-    Sampler sampler(sim, reg, sim::microseconds(10), 3);
+    Sampler sampler(sim, reg, sim::microseconds(10));
     sampler.start();
-    sim.run();
+    sim.runUntil(sim::microseconds(30));
+    sampler.stop();
+    ASSERT_EQ(sampler.samplesTaken(), 3u);
 
     RunReport report;
-    report.capture(reg, sim.now());
+    report.capture(sampler, sim.now());
 
     std::ostringstream os;
     report.writeCsv(os);
