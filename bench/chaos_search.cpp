@@ -421,11 +421,7 @@ writeReport(const std::string &path, const ChaosParams &p,
             const std::vector<FailureRecord> &failures)
 {
     std::FILE *f = std::fopen(path.c_str(), "w");
-    if (f == nullptr) {
-        std::fprintf(stderr, "chaos_search: cannot write %s\n",
-                     path.c_str());
-        return;
-    }
+    sim::simAssert(f != nullptr, "cannot open chaos report for writing");
     std::fprintf(f, "{\n  \"bench\": \"chaos_search\",\n");
     std::fprintf(f, "  \"schedules\": %u,\n",
                  static_cast<unsigned>(runs.size()));
@@ -485,7 +481,8 @@ writeReport(const std::string &path, const ChaosParams &p,
 int
 main(int argc, char **argv)
 {
-    Options opts("chaos_search");
+    // Only --report (its own sweep JSON) and --bench-json apply.
+    Options opts("chaos_search", {.telemetry = false});
     ChaosParams p;
     opts.knob("schedules", &p.schedules, "fault schedules to sweep");
     opts.knob("seed0", &p.seed0, "first schedule seed");

@@ -3,11 +3,10 @@
  * Shared harness for the figure-reproduction benchmarks: ttcp-style
  * stream generators/sinks (written against the sock facade),
  * measurement-window utilities, and the common command-line surface
- * (`Options` + `benchMain`) every bench binary exposes —
- * `--report <file>` (RunReport JSON), `--metrics <file>` (OpenMetrics
- * timeline), `--trace <file>` (Chrome trace), `--sample-interval <us>`
- * (the one timeline's spacing), `--seed <n>`, plus bench-specific
- * numeric knobs.
+ * (`Options` + `benchMain`) of every bench binary — `--report <file>`
+ * (RunReport JSON), `--bench-json <file>`, the TelemetryRun artifacts
+ * (`--metrics`, `--trace`, `--sample-interval`, ...), `--transport`
+ * where the bench can pin one, plus bench-specific numeric knobs.
  */
 
 #ifndef IOAT_BENCH_COMMON_HH
@@ -15,6 +14,7 @@
 
 #include <sys/resource.h>
 
+#include <array>
 #include <cctype>
 #include <cerrno>
 #include <chrono>
@@ -28,6 +28,7 @@
 #include <memory>
 #include <optional>
 #include <string>
+#include <string_view>
 #include <utility>
 #include <vector>
 
@@ -180,18 +181,37 @@ num(double v, int precision = 1)
 }
 
 /**
+ * The flag groups a bench honours besides `--report`, `--bench-json`
+ * and its knobs.  A bench declares them when it constructs Options.
+ */
+struct Surface
+{
+    /** TelemetryRun's artifacts: `--trace`, `--trace-requests`,
+     *  `--span-report`, `--profile`, `--metrics`, `--sample-interval`. */
+    bool telemetry = true;
+    /** `--transport`: the bench can pin one transport. */
+    bool transport = false;
+};
+
+/**
  * The common command-line surface of every bench binary.
  *
- * Construct with the bench name, register bench-specific knobs with
- * `knob()`, then hand everything to `benchMain` — it parses, handles
- * `--help`, and only then runs the body.
+ * Construct with the bench name and its Surface, register
+ * bench-specific knobs with `knob()`, then hand everything to
+ * `benchMain` — it parses, handles `--help`, and only then runs the
+ * body.  A flag outside the bench's surface exits 2 like an unknown
+ * one and is not listed by `--help`: no flag is accepted and ignored.
  */
 class Options
 {
   public:
-    explicit Options(std::string bench_name)
-        : bench_(std::move(bench_name))
+    explicit Options(std::string bench_name, Surface surface = {})
+        : bench_(std::move(bench_name)), surface_(surface)
     {}
+
+    /** True when @p arg is one of the flags Options parses, whether
+     *  or not this bench honours it. */
+    static bool isFlag(std::string_view arg) { return find(arg) != nullptr; }
 
     const std::string &benchName() const { return bench_; }
     const std::string &reportPath() const { return report_; }
@@ -200,7 +220,6 @@ class Options
     const std::string &spanReportPath() const { return spanReport_; }
     const std::string &profilePath() const { return profile_; }
     const std::string &metricsPath() const { return metrics_; }
-    std::uint64_t seed() const { return seed_; }
     bool wantReport() const { return !report_.empty(); }
     bool wantTrace() const { return !trace_.empty(); }
     bool wantRequestTrace() const { return !reqTrace_.empty(); }
@@ -260,58 +279,27 @@ class Options
                 exitCode_ = 0;
                 return false;
             }
-            if (arg == "--transport") {
-                if (i + 1 >= argc)
-                    return fail(arg + " needs a value");
-                const std::string val = argv[++i];
-                if (val != "tcp" && val != "ioat" && val != "bypass")
-                    return fail("--transport wants tcp, ioat or bypass");
-                transport_ = val;
-                continue;
-            }
-            if (arg == "--report" || arg == "--trace" ||
-                arg == "--trace-requests" || arg == "--span-report" ||
-                arg == "--profile" || arg == "--metrics" ||
-                arg == "--bench-json" || arg == "--sample-interval" ||
-                arg == "--seed") {
-                if (i + 1 >= argc)
-                    return fail(arg + " needs a value");
-                const std::string val = argv[++i];
-                if (arg == "--report")
-                    report_ = val;
-                else if (arg == "--trace")
-                    trace_ = val;
-                else if (arg == "--trace-requests")
-                    reqTrace_ = val;
-                else if (arg == "--span-report")
-                    spanReport_ = val;
-                else if (arg == "--profile")
-                    profile_ = val;
-                else if (arg == "--metrics")
-                    metrics_ = val;
-                else if (arg == "--bench-json")
-                    benchJson_ = val;
-                else if (arg == "--sample-interval") {
-                    if (!parseInterval(val, sampleInterval_))
-                        return fail(arg + " wants whole microseconds >= 1");
-                } else if (!parseWhole(val, seed_)) {
-                    return fail("--seed wants a whole number >= 0");
-                }
-                continue;
-            }
-            bool matched = false;
-            for (const Knob &k : knobs_) {
-                if (arg == "--" + k.name) {
-                    if (i + 1 >= argc)
-                        return fail(arg + " needs a value");
-                    if (!parseNumber(argv[++i], *k.slot))
-                        return fail(arg + " wants a number >= 0");
-                    matched = true;
-                    break;
-                }
-            }
-            if (!matched)
+            const Flag *flag = find(arg);
+            const Knob *knob = findKnob(arg);
+            if (flag != nullptr && !honours(*flag))
+                return fail(arg + " does not apply to this bench");
+            if (flag == nullptr && knob == nullptr)
                 return fail("unknown flag " + arg);
+            if (i + 1 >= argc)
+                return fail(arg + " needs a value");
+            const std::string val = argv[++i];
+            if (knob != nullptr) {
+                if (!parseNumber(val.c_str(), *knob->slot))
+                    return fail(arg + " wants a number >= 0");
+            } else if (arg == "--sample-interval") {
+                if (!parseInterval(val, sampleInterval_))
+                    return fail(arg + " wants whole microseconds >= 1");
+            } else if (arg == "--transport" && val != "tcp" &&
+                       val != "ioat" && val != "bypass") {
+                return fail("--transport wants tcp, ioat or bypass");
+            } else {
+                this->*flag->slot = val;
+            }
         }
         return true;
     }
@@ -330,30 +318,11 @@ class Options
     usage(std::FILE *out) const
     {
         std::fprintf(out, "usage: %s [flags]\n", bench_.c_str());
-        std::fprintf(out,
-                     "  --report <file>           write RunReport JSON\n"
-                     "  --trace <file>            write Chrome trace JSON\n"
-                     "  --trace-requests <file>   write per-request Chrome "
-                     "trace with flow events\n"
-                     "  --span-report <file>      write per-request span "
-                     "JSON (breakdown + critical path)\n"
-                     "  --profile <file>          write folded-stack "
-                     "profile (flamegraph.pl format)\n"
-                     "  --metrics <file>          write the sampled "
-                     "timeline as OpenMetrics text\n"
-                     "                            (JSON when the path "
-                     "ends in .json)\n"
-                     "  --bench-json <file>       perf-trajectory JSON "
-                     "path (default BENCH_<bench>.json)\n"
-                     "  --sample-interval <us>    timeline sampling period "
-                     "for --report and\n"
-                     "                            --metrics (default 100)\n"
-                     "  --seed <n>                run seed echoed into the "
-                     "report\n"
-                     "  --transport <t>           pin one transport: tcp, "
-                     "ioat or bypass (default: render\n"
-                     "                            the bench's usual "
-                     "comparison table)\n");
+        for (const Flag &f : kFlags)
+            if (honours(f))
+                std::fprintf(out, "  %-25s %s\n",
+                             (std::string(f.name) + " " + f.arg).c_str(),
+                             f.help);
         for (const Knob &k : knobs_)
             std::fprintf(out, "  --%-23s %s (default %g)\n",
                          (k.name + " <value>").c_str(), k.desc.c_str(),
@@ -375,12 +344,46 @@ class Options
     }
 
   private:
+    /** One value-taking flag Options parses itself. */
+    struct Flag
+    {
+        std::string_view name;
+        const char *arg;
+        const char *help;
+        std::string Options::*slot; ///< where the value goes, if a string
+        bool Surface::*needs;       ///< nullptr: every bench honours it
+    };
+
     struct Knob
     {
         std::string name;
         std::string desc;
         double *slot;
     };
+
+    static const Flag *
+    find(std::string_view arg)
+    {
+        for (const Flag &f : kFlags)
+            if (arg == f.name)
+                return &f;
+        return nullptr;
+    }
+
+    bool
+    honours(const Flag &f) const
+    {
+        return f.needs == nullptr || surface_.*f.needs;
+    }
+
+    const Knob *
+    findKnob(const std::string &arg) const
+    {
+        for (const Knob &k : knobs_)
+            if (arg == "--" + k.name)
+                return &k;
+        return nullptr;
+    }
 
     bool
     fail(const std::string &why)
@@ -391,29 +394,19 @@ class Options
         return false;
     }
 
-    /** Digits only (no sign, space or suffix), within uint64. */
+    /** Whole microseconds >= 1 that fit a Tick: digits only (no
+     *  sign, space or suffix). */
     static bool
-    parseWhole(const std::string &text, std::uint64_t &out)
+    parseInterval(const std::string &text, Tick &out)
     {
         if (text.empty() ||
             !std::isdigit(static_cast<unsigned char>(text[0])))
             return false;
         errno = 0;
         char *end = nullptr;
-        const unsigned long long v =
+        const unsigned long long us =
             std::strtoull(text.c_str(), &end, 10);
-        if (errno == ERANGE || *end != '\0')
-            return false;
-        out = v;
-        return true;
-    }
-
-    /** Whole microseconds >= 1 that fit a Tick. */
-    static bool
-    parseInterval(const std::string &text, Tick &out)
-    {
-        std::uint64_t us = 0;
-        if (!parseWhole(text, us) || us < 1 ||
+        if (errno == ERANGE || *end != '\0' || us < 1 ||
             us > std::numeric_limits<std::uint64_t>::max() / 1000)
             return false;
         out = sim::microseconds(us);
@@ -437,6 +430,7 @@ class Options
     }
 
     std::string bench_;
+    Surface surface_;
     std::string report_;
     std::string trace_;
     std::string reqTrace_;
@@ -445,10 +439,38 @@ class Options
     std::string metrics_;
     std::string benchJson_;
     Tick sampleInterval_ = sim::microseconds(100);
-    std::uint64_t seed_ = 1;
     std::string transport_;
     std::vector<Knob> knobs_;
     int exitCode_ = 0;
+
+    /** Every such flag, in --help order. */
+    static constexpr std::array<Flag, 9> kFlags{{
+        {"--report", "<file>", "write the run's JSON report",
+         &Options::report_, nullptr},
+        {"--trace", "<file>", "write Chrome trace JSON", &Options::trace_,
+         &Surface::telemetry},
+        {"--trace-requests", "<file>",
+         "write per-request Chrome trace with flow events",
+         &Options::reqTrace_, &Surface::telemetry},
+        {"--span-report", "<file>",
+         "write per-request span JSON (breakdown + critical path)",
+         &Options::spanReport_, &Surface::telemetry},
+        {"--profile", "<file>",
+         "write folded-stack profile (flamegraph.pl format)",
+         &Options::profile_, &Surface::telemetry},
+        {"--metrics", "<file>",
+         "write the sampled timeline as OpenMetrics (JSON if *.json)",
+         &Options::metrics_, &Surface::telemetry},
+        {"--bench-json", "<file>",
+         "perf-trajectory JSON path (default BENCH_<bench>.json)",
+         &Options::benchJson_, nullptr},
+        {"--sample-interval", "<us>",
+         "timeline period for --report and --metrics (default 100)",
+         nullptr, &Surface::telemetry},
+        {"--transport", "<t>",
+         "pin one transport: tcp, ioat or bypass (default: compare)",
+         &Options::transport_, &Surface::transport},
+    }};
 };
 
 /** Peak resident set in bytes (ru_maxrss is KiB on Linux). */
@@ -467,15 +489,15 @@ peakRssBytes()
  * ("ioat-bench-v1"): events/sec, wall time, peak RSS, the config
  * echo and the git revision.  `tools/benchdiff.py` compares two of
  * these with noise tolerance; CI gates on the comparison.  Written
- * silently (no stdout) so bench-table golden digests are untouched.
+ * silently (no stdout), so the goldens, which compare stdout, are
+ * untouched.
  */
 inline void
 writeBenchJson(const Options &opts, std::uint64_t events,
                double wall_seconds)
 {
     std::ofstream out(opts.benchJsonPath());
-    if (!out)
-        return;
+    sim::simAssert(out.good(), "cannot open bench JSON for writing");
     const double eps =
         wall_seconds > 0.0
             ? static_cast<double>(events) / wall_seconds
@@ -569,7 +591,6 @@ class TelemetryRun
         if (opts_.wantReport()) {
             sim::telemetry::RunReport report;
             report.setBench(opts_.benchName());
-            report.setSeed(opts_.seed());
             auto cfg = opts_.configEcho();
             for (auto &kv : extra_config)
                 cfg.push_back(std::move(kv));
@@ -577,7 +598,8 @@ class TelemetryRun
                 report.addConfig(std::move(kv.first),
                                  std::move(kv.second));
             session_.captureInto(report);
-            report.saveJson(opts_.reportPath());
+            sim::simAssert(report.saveJson(opts_.reportPath()),
+                           "cannot write RunReport file");
         }
         if (tracer_)
             tracer_->save(opts_.tracePath());

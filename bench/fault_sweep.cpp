@@ -177,7 +177,7 @@ runDatacenter(IoatConfig features, double loss,
 int
 main(int argc, char **argv)
 {
-    Options opts("fault_sweep");
+    Options opts("fault_sweep", {.transport = true});
     return benchMain(argc, argv, opts, [&](const Options &) {
 
     if (opts.singleTransport()) {

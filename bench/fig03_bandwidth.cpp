@@ -125,7 +125,7 @@ table(const Options &o, bool bidirectional, const char *title)
 int
 main(int argc, char **argv)
 {
-    Options opts("fig03_bandwidth");
+    Options opts("fig03_bandwidth", {.transport = true});
     return benchMain(argc, argv, opts, [](const Options &o) {
         if (o.singleTransport()) {
             std::cout << "=== Figure 3 (" << o.transportName()

@@ -64,7 +64,7 @@ run(IoatConfig features, unsigned threads,
 int
 main(int argc, char **argv)
 {
-    Options opts("fig04_multistream");
+    Options opts("fig04_multistream", {.transport = true});
     return benchMain(argc, argv, opts, [](const Options &o) {
         if (o.singleTransport()) {
             std::cout << "=== Figure 4 (" << o.transportName()

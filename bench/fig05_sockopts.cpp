@@ -115,7 +115,7 @@ table(bool bidirectional, const char *title)
 int
 main(int argc, char **argv)
 {
-    Options opts("fig05_sockopts");
+    Options opts("fig05_sockopts", {.transport = true});
     return benchMain(argc, argv, opts, [](const Options &o) {
         if (o.singleTransport()) {
             std::cout << "=== Figure 5 (" << o.transportName()

@@ -80,7 +80,7 @@ sizeLabel(std::size_t bytes)
 int
 main(int argc, char **argv)
 {
-    Options opts("fig07_splitup");
+    Options opts("fig07_splitup", {.transport = true});
     return benchMain(argc, argv, opts, [&](const Options &) {
 
     if (opts.singleTransport()) {

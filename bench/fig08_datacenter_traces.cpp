@@ -91,7 +91,7 @@ runTps(IoatConfig features, dc::Workload &workload,
 int
 main(int argc, char **argv)
 {
-    Options options("fig08_datacenter_traces");
+    Options options("fig08_datacenter_traces", {.transport = true});
     double quick = 0;
     options.knob("quick", &quick,
                  "nonzero: skip the sweeps, run only the instrumented "

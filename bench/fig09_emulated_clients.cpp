@@ -83,7 +83,7 @@ run(IoatConfig features, unsigned threads,
 int
 main(int argc, char **argv)
 {
-    Options opts("fig09_emulated_clients");
+    Options opts("fig09_emulated_clients", {.transport = true});
     return benchMain(argc, argv, opts, [&](const Options &) {
 
     if (opts.singleTransport()) {

@@ -100,7 +100,7 @@ table(unsigned iods)
 int
 main(int argc, char **argv)
 {
-    Options opts("fig10_pvfs_read");
+    Options opts("fig10_pvfs_read", {.transport = true});
     return benchMain(argc, argv, opts, [&](const Options &) {
 
     if (opts.singleTransport()) {

@@ -94,7 +94,7 @@ table(unsigned iods)
 int
 main(int argc, char **argv)
 {
-    Options opts("fig11_pvfs_write");
+    Options opts("fig11_pvfs_write", {.transport = true});
     return benchMain(argc, argv, opts, [&](const Options &) {
 
     if (opts.singleTransport()) {

@@ -78,7 +78,7 @@ run(IoatConfig features, unsigned emulated_clients,
 int
 main(int argc, char **argv)
 {
-    Options opts("fig12_pvfs_multistream");
+    Options opts("fig12_pvfs_multistream", {.transport = true});
     return benchMain(argc, argv, opts, [&](const Options &) {
 
     if (opts.singleTransport()) {

@@ -245,18 +245,13 @@ reportRun(const ioat::bench::Options &opts)
 int
 main(int argc, char **argv)
 {
-    // The telemetry flags are ours; everything else belongs to
+    // The Options flags are ours; everything else belongs to
     // google-benchmark.  Split argv before handing it over.
     ioat::bench::Options opts("micro_perf");
     std::vector<char *> gbench_argv{argv[0]};
     std::vector<char *> our_argv{argv[0]};
     for (int i = 1; i < argc; ++i) {
-        const std::string arg = argv[i];
-        if (arg == "--report" || arg == "--trace" ||
-            arg == "--trace-requests" || arg == "--span-report" ||
-            arg == "--profile" || arg == "--metrics" ||
-            arg == "--bench-json" || arg == "--sample-interval" ||
-            arg == "--seed") {
+        if (ioat::bench::Options::isFlag(argv[i])) {
             our_argv.push_back(argv[i]);
             if (i + 1 < argc)
                 our_argv.push_back(argv[++i]);
@@ -268,14 +263,14 @@ main(int argc, char **argv)
     return ioat::bench::benchMain(
         our_argc, our_argv.data(), opts,
         [&](const ioat::bench::Options &) {
-            if (opts.instrumented())
-                reportRun(opts);
-
             int gbench_argc = static_cast<int>(gbench_argv.size());
             benchmark::Initialize(&gbench_argc, gbench_argv.data());
+            // An unknown flag exits 2, as in every other bench.
             if (benchmark::ReportUnrecognizedArguments(
                     gbench_argc, gbench_argv.data()))
-                return 1;
+                return 2;
+            if (opts.instrumented())
+                reportRun(opts);
             benchmark::RunSpecifiedBenchmarks();
             benchmark::Shutdown();
             return 0;

@@ -1,6 +1,6 @@
 /**
  * @file
- * RunReport: serialize one instrumented run — config echo, seed, git
+ * RunReport: serialize one instrumented run — config echo, git
  * revision, every registry scalar/histogram/series/flow table — as
  * JSON (machine-readable, jq-friendly) or CSV (series, for plotting).
  *
@@ -49,7 +49,6 @@ class RunReport
     /** @name Run metadata
      *  @{ */
     void setBench(std::string name) { bench_ = std::move(name); }
-    void setSeed(std::uint64_t seed) { seed_ = seed; }
 
     /** Echo one config knob (flag values, figure parameters). */
     void
@@ -112,7 +111,6 @@ class RunReport
         os << "{\n";
         os << "  \"schema\": \"ioat-run-report-v1\",\n";
         os << "  \"bench\": " << quoted(bench_) << ",\n";
-        os << "  \"seed\": " << seed_ << ",\n";
         os << "  \"gitRev\": " << quoted(gitRevision()) << ",\n";
         os << "  \"capturedAtTick\": " << capturedAt_.count() << ",\n";
 
@@ -275,7 +273,6 @@ class RunReport
     };
 
     std::string bench_ = "unnamed";
-    std::uint64_t seed_ = 0;
     std::vector<std::pair<std::string, std::string>> config_;
     Tick capturedAt_{};
     Tick seriesStart_{};    ///< every series shares the timeline's

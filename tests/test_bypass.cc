@@ -5,20 +5,12 @@
  * Covers the xpt::BypassStack behind the sock:: facade: zero-copy
  * streaming at near-zero receiver CPU, credit-based flow control
  * (stall + recovery), user-space loss handling under the shared
- * FaultInjector sites, trace-breakdown exactness on the bypass path,
- * Listener misuse, and three-way (tcp / ioat / bypass) golden
- * digests of the fig03 and fig08 scenarios.
- *
- * Regenerate the goldens after an *intentional* behavior change with
- * `GOLDEN_REGEN=1 ./test_bypass`.
+ * FaultInjector sites, trace-breakdown exactness on the bypass path
+ * and Listener misuse.  The benches' `--transport tcp|ioat|bypass`
+ * tables are pinned by their goldens (`ctest -L golden`).
  */
 
 #include <cstdint>
-#include <cstdlib>
-#include <fstream>
-#include <optional>
-#include <sstream>
-#include <string>
 
 #include <gtest/gtest.h>
 
@@ -28,10 +20,8 @@
 #include "datacenter/web_server.hh"
 #include "datacenter/workload.hh"
 #include "net/switch.hh"
-#include "simcore/digest.hh"
 #include "simcore/fault.hh"
 #include "simcore/simcore.hh"
-#include "simcore/table.hh"
 #include "sock/socket.hh"
 #include "xpt/bypass.hh"
 
@@ -44,40 +34,14 @@ using core::NodeConfig;
 using core::TransportKind;
 using sim::Coro;
 using sim::Simulation;
-using sim::Tick;
 
-/** The three transports every bench can be pointed at. */
-enum class Xport { tcp, ioat, bypass };
-
-const char *
-xportName(Xport x)
-{
-    switch (x) {
-    case Xport::tcp:
-        return "tcp";
-    case Xport::ioat:
-        return "ioat";
-    case Xport::bypass:
-        return "bypass";
-    }
-    return "?";
-}
-
+/** A server node on the bypass transport. */
 NodeConfig
-nodeFor(Xport x, unsigned ports)
+bypassNode(unsigned ports)
 {
-    switch (x) {
-    case Xport::tcp:
-        return NodeConfig::server(IoatConfig::disabled(), ports);
-    case Xport::ioat:
-        return NodeConfig::server(IoatConfig::enabled(), ports);
-    case Xport::bypass: {
-        NodeConfig cfg = NodeConfig::server(IoatConfig::disabled(), ports);
-        cfg.transport = TransportKind::bypass;
-        return cfg;
-    }
-    }
-    return NodeConfig{};
+    NodeConfig cfg = NodeConfig::server(IoatConfig::disabled(), ports);
+    cfg.transport = TransportKind::bypass;
+    return cfg;
 }
 
 /** Accept-and-drain loop through the transport-agnostic facade. */
@@ -113,7 +77,7 @@ TEST(Bypass, StreamsAtWireRateWithPolledReceiver)
 {
     Simulation sim;
     net::Switch fabric(sim, sim::nanoseconds(2000));
-    const NodeConfig cfg = nodeFor(Xport::bypass, 1);
+    const NodeConfig cfg = bypassNode(1);
     Node a(sim, fabric, cfg);
     Node b(sim, fabric, cfg);
 
@@ -146,7 +110,7 @@ TEST(Bypass, CreditExhaustionStallsThenRecovers)
 {
     Simulation sim;
     net::Switch fabric(sim, sim::nanoseconds(2000));
-    NodeConfig cfg = nodeFor(Xport::bypass, 1);
+    NodeConfig cfg = bypassNode(1);
     // A 16 KB registered pool against 64 KB sends: every send must
     // stall on credit at least once and resume as the receiver
     // drains.
@@ -180,7 +144,7 @@ TEST(Bypass, LinkLossRecoveredByLibraryRetransmission)
     faults.setDefaultConfig(fc);
     fabric.setFaultInjector(&faults);
 
-    const NodeConfig cfg = nodeFor(Xport::bypass, 1);
+    const NodeConfig cfg = bypassNode(1);
     Node a(sim, fabric, cfg);
     Node b(sim, fabric, cfg);
 
@@ -208,7 +172,7 @@ TEST(Bypass, ConnectToUnreachablePeerAbortsInsteadOfHanging)
     faults.setDefaultConfig(fc);
     fabric.setFaultInjector(&faults);
 
-    const NodeConfig cfg = nodeFor(Xport::bypass, 1);
+    const NodeConfig cfg = bypassNode(1);
     Node a(sim, fabric, cfg);
     Node b(sim, fabric, cfg);
 
@@ -259,7 +223,7 @@ TEST(Bypass, TraceBreakdownPartitionsEndToEndLatency)
     Simulation sim;
     auto &rt = sim.enableRequestTracing();
 
-    NodeConfig server_cfg = nodeFor(Xport::bypass, 6);
+    NodeConfig server_cfg = bypassNode(6);
     NodeConfig client_cfg = NodeConfig::client();
     client_cfg.transport = TransportKind::bypass;
     core::Testbed tb(sim, core::TestbedConfig{
@@ -297,144 +261,6 @@ TEST(Bypass, TraceBreakdownPartitionsEndToEndLatency)
             << ") breakdown does not partition its latency";
     }
     EXPECT_GE(finished, fleet.completed());
-}
-
-// --------------------------------------------------------------------
-// Three-way golden digests (fig03 / fig08 scenarios)
-// --------------------------------------------------------------------
-
-std::string
-goldenPath(const std::string &name)
-{
-    return std::string(IOAT_GOLDEN_DIR) + "/" + name + ".digest";
-}
-
-void
-checkGolden(const std::string &name, std::string (*render)())
-{
-    const std::string first = render();
-    const std::string second = render();
-    ASSERT_FALSE(first.empty());
-    EXPECT_EQ(first, second)
-        << "two in-process runs of " << name << " diverged";
-
-    const std::string digest = sim::digestOf(first);
-    if (std::getenv("GOLDEN_REGEN") != nullptr) {
-        std::ofstream out(goldenPath(name));
-        ASSERT_TRUE(out.good()) << "cannot write " << goldenPath(name);
-        out << digest << "\n";
-        GTEST_SKIP() << "regenerated " << goldenPath(name) << " = "
-                     << digest;
-    }
-
-    std::ifstream in(goldenPath(name));
-    ASSERT_TRUE(in.good())
-        << "missing golden digest " << goldenPath(name)
-        << " (run with GOLDEN_REGEN=1 to create it)";
-    std::string expected;
-    in >> expected;
-    EXPECT_EQ(expected, digest)
-        << name << " output drifted from its golden digest.\n"
-        << "If the change is intentional, regenerate with "
-           "GOLDEN_REGEN=1.\nFull output:\n"
-        << first;
-}
-
-/** fig03-style bandwidth rows for all three transports. */
-std::string
-renderFig03Transports()
-{
-    std::ostringstream out;
-    sim::Table t({"transport", "ports", "Mbps", "rx CPU"});
-    for (Xport x : {Xport::tcp, Xport::ioat, Xport::bypass}) {
-        for (unsigned ports = 1; ports <= 2; ++ports) {
-            Simulation sim;
-            net::Switch fabric(sim, sim::nanoseconds(2000));
-            const NodeConfig cfg = nodeFor(x, ports);
-            Node a(sim, fabric, cfg);
-            Node b(sim, fabric, cfg);
-
-            const std::size_t chunk = 64 * 1024;
-            sim.spawn(sinkLoop(b, 5001, chunk));
-            for (unsigned i = 0; i < ports; ++i)
-                sim.spawn(senderLoop(a, b.id(), 5001, chunk));
-
-            sim.runFor(sim::milliseconds(50));
-            b.cpu().resetUtilizationWindow();
-            const std::uint64_t rx0 = b.transport().rxPayloadBytes();
-            const Tick t0 = sim.now();
-            sim.runFor(sim::milliseconds(150));
-            const std::uint64_t rx1 = b.transport().rxPayloadBytes();
-
-            t.addRow({xportName(x), std::to_string(ports),
-                      sim::strprintf(
-                          "%.0f", sim::throughputMbps(rx1 - rx0,
-                                                      sim.now() - t0)),
-                      sim::strprintf("%.1f%%",
-                                     b.cpu().utilization() * 100.0)});
-        }
-    }
-    t.print(out);
-    return out.str();
-}
-
-/** fig08-style two-tier TPS for all three transports. */
-std::string
-renderFig08Transports()
-{
-    std::ostringstream out;
-    sim::Table t({"transport", "TPS"});
-    for (Xport x : {Xport::tcp, Xport::ioat, Xport::bypass}) {
-        Simulation sim;
-        NodeConfig server_cfg = nodeFor(x, 6);
-        NodeConfig client_cfg = NodeConfig::client();
-        if (x == Xport::bypass)
-            client_cfg.transport = TransportKind::bypass;
-        core::Testbed tb(sim, core::TestbedConfig{
-                                  .serverCount = 2,
-                                  .serverConfig = server_cfg,
-                                  .clientCount = 1,
-                                  .clientConfig = client_cfg,
-                              });
-
-        dc::DcConfig cfg;
-        cfg.proxyCachingEnabled = false;
-        dc::SingleFileWorkload wl(4096, 100);
-        dc::WebServer server(tb.server(1), cfg, wl);
-        dc::Proxy proxy(tb.server(0), cfg, tb.server(1).id());
-        server.start();
-        proxy.start();
-
-        dc::ClientFleet::Options opts;
-        opts.target = tb.server(0).id();
-        opts.port = cfg.proxyPort;
-        opts.threads = 4;
-        dc::ClientFleet fleet({&tb.client(0)}, wl, opts);
-        fleet.start();
-
-        sim.runFor(sim::milliseconds(50));
-        const std::uint64_t done0 = fleet.completed();
-        const Tick t0 = sim.now();
-        sim.runFor(sim::milliseconds(150));
-        const std::uint64_t done1 = fleet.completed();
-
-        t.addRow({xportName(x),
-                  sim::strprintf("%.0f",
-                                 static_cast<double>(done1 - done0) /
-                                     sim::toSeconds(sim.now() - t0))});
-    }
-    t.print(out);
-    return out.str();
-}
-
-TEST(BypassGolden, Fig03ThreeTransports)
-{
-    checkGolden("fig03_transports", renderFig03Transports);
-}
-
-TEST(BypassGolden, Fig08ThreeTransports)
-{
-    checkGolden("fig08_transports", renderFig08Transports);
 }
 
 } // namespace

@@ -370,7 +370,6 @@ TEST(ChaosTelemetry, RunReportEchoesOutagePlanAndLifecycle)
 
     sim::telemetry::RunReport report;
     report.setBench("test_chaos");
-    report.setSeed(5);
     session.captureInto(report);
     std::ostringstream os;
     report.writeJson(os);

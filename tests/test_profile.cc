@@ -3,8 +3,9 @@
  * Profiling-plane suite: folded-stack attribution against hand-counted
  * intervals, the partition property on a real datacenter run, the
  * profiler-off byte-identity guarantee, OpenMetrics timeline
- * determinism across reruns, bench flag parsing, and CLI checks for
- * tracediff.py / benchdiff.py on known fixtures.
+ * determinism across reruns, bench flag parsing (malformed values,
+ * flags outside a bench's surface, unwritable artifact paths), and
+ * CLI checks for tracediff.py / benchdiff.py on known fixtures.
  *
  * `ctest -L profile` runs just this suite.
  */
@@ -15,6 +16,7 @@
 
 #include <array>
 #include <cstdio>
+#include <cstdlib>
 #include <fstream>
 #include <memory>
 #include <sstream>
@@ -172,8 +174,8 @@ TEST(Profile, LedgerTotalsEqualSummedBreakdownsOnDatacenterRun)
 }
 
 // Attaching the profiler is pure observation: the span report —
-// and with it every golden digest — is byte-identical with and
-// without it.
+// and with it every golden — is byte-identical with and without
+// it.
 TEST(Profile, ProfilerAttachmentDoesNotChangeSpanReportBytes)
 {
     const DcArtifacts off = runDatacenter(false);
@@ -375,16 +377,13 @@ parseExit(bench::Options &opts, std::vector<std::string> args)
 
 // Every numeric flag takes a whole, in-range value and nothing else;
 // anything else exits 2 instead of silently running with 0 (or an
-// empty sweep).  Removed flags are unknown flags.
+// empty sweep).  Removed flags are unknown flags, and so is a flag the
+// bench does not honour.
 TEST(Profile, BenchOptionsRejectMalformedNumbers)
 {
     const std::vector<std::vector<std::string>> bad = {
-        {"--seed", "abc"},
-        {"--seed", ""},
-        {"--seed", "-1"},
-        {"--seed", "12x"},
-        {"--seed", " 7"},
-        {"--seed", "18446744073709551616"},
+        {"--sample-interval", ""},
+        {"--sample-interval", " 7"},
         {"--sample-interval", "x"},
         {"--sample-interval", "0"},
         {"--sample-interval", "100us"},
@@ -403,6 +402,10 @@ TEST(Profile, BenchOptionsRejectMalformedNumbers)
         {"--" "shards", "2"},
         {"--" "metrics-" "interval", "100"},
         {"--" "metrics-" "engine", "x"},
+        // Removed because no bench read it.
+        {"--seed", "1"},
+        // Outside this bench's Surface: it pins no transport.
+        {"--transport", "bypass"},
     };
     for (const auto &args : bad) {
         bench::Options opts("test_profile");
@@ -415,13 +418,73 @@ TEST(Profile, BenchOptionsRejectMalformedNumbers)
     bench::Options opts("test_profile");
     double knob = 64;
     opts.knob("max-clients", &knob, "sweep bound");
-    EXPECT_EQ(parseExit(opts, {"--seed", "18446744073709551615",
-                               "--sample-interval", "250",
+    EXPECT_EQ(parseExit(opts, {"--sample-interval", "250",
                                "--max-clients", "16.5"}),
               -1);
-    EXPECT_EQ(opts.seed(), 18446744073709551615ull);
     EXPECT_EQ(opts.sampleInterval(), sim::microseconds(250));
     EXPECT_EQ(knob, 16.5);
+}
+
+/** What @p opts prints for --help. */
+std::string
+helpText(const bench::Options &opts)
+{
+    char *buf = nullptr;
+    std::size_t len = 0;
+    std::FILE *f = open_memstream(&buf, &len);
+    opts.usage(f);
+    std::fclose(f);
+    std::string text(buf, len);
+    std::free(buf);
+    return text;
+}
+
+// A flag outside the Surface a bench declared exits 2 and is missing
+// from --help: --transport unless the bench pins transports (see the
+// list above), and every TelemetryRun artifact on a bench shaped like
+// chaos_search.
+TEST(Profile, BenchOptionsRejectFlagsOutsideTheirSurface)
+{
+    EXPECT_EQ(helpText(bench::Options("test_profile")).find("--transport"),
+              std::string::npos);
+    bench::Options pinned("test_profile", {.transport = true});
+    EXPECT_EQ(parseExit(pinned, {"--transport", "bypass"}), -1);
+    EXPECT_EQ(pinned.transportChoice(), bench::TransportChoice::bypass);
+
+    for (const char *flag : {"--trace", "--trace-requests",
+                             "--span-report", "--profile", "--metrics",
+                             "--sample-interval"}) {
+        bench::Options chaos("test_profile", {.telemetry = false});
+        EXPECT_EQ(parseExit(chaos, {flag, "1"}), 2) << flag;
+        EXPECT_EQ(helpText(chaos).find(flag), std::string::npos) << flag;
+    }
+    bench::Options chaos("test_profile", {.telemetry = false});
+    EXPECT_EQ(parseExit(chaos, {"--report", "r.json"}), -1);
+}
+
+// An artifact path that cannot be opened stops the run, as it does
+// for --trace or --profile, instead of exiting 0 with nothing written.
+TEST(ProfileDeathTest, UnwritableReportOrBenchJsonStopsTheRun)
+{
+    auto run = [](std::vector<std::string> args) {
+        args.insert(args.begin(), "test_profile");
+        std::vector<char *> argv;
+        for (std::string &a : args)
+            argv.push_back(a.data());
+        bench::Options opts("test_profile");
+        return bench::benchMain(
+            static_cast<int>(argv.size()), argv.data(), opts,
+            [](const bench::Options &o) {
+                Simulation sim;
+                bench::TelemetryRun(sim, o).finish();
+                return 0;
+            });
+    };
+    EXPECT_DEATH(run({"--report", "/nonexistent/r.json", "--bench-json",
+                      "/dev/null"}),
+                 "cannot write RunReport");
+    EXPECT_DEATH(run({"--bench-json", "/nonexistent/b.json"}),
+                 "cannot open bench JSON");
 }
 
 // --------------------------------------------------------------------

@@ -12,7 +12,7 @@
  *    first tick, and the two timeline encoders (RunReport series and
  *    OpenMetrics rows) describe the same samples.
  *  - RunReport: emitted JSON carries every required key (schema,
- *    bench, seed, gitRev, config echo, dotted stats, histograms with
+ *    bench, gitRev, config echo, dotted stats, histograms with
  *    quantiles, series, flows), escapes hostile names and is
  *    byte-deterministic; CSV export round-trips the series.
  */
@@ -230,7 +230,6 @@ reportJson()
 
     RunReport report;
     report.setBench("test_telemetry");
-    report.setSeed(7);
     report.addConfig("streams", "1");
     // A hostile name: a quote, a newline and a raw control byte.
     report.addConfig("odd\"key\nwith\x01" "ctl", "2");
@@ -448,7 +447,6 @@ TEST(RunReport, JsonCarriesRequiredKeys)
               std::string::npos);
     EXPECT_NE(json.find("\"bench\": \"test_telemetry\""),
               std::string::npos);
-    EXPECT_NE(json.find("\"seed\": 7"), std::string::npos);
     EXPECT_NE(json.find("\"gitRev\""), std::string::npos);
     EXPECT_NE(json.find("\"config\""), std::string::npos);
     EXPECT_NE(json.find("\"streams\": \"1\""), std::string::npos);
