@@ -5,6 +5,9 @@
 
 #include "cpu/cpu.hh"
 
+#include <algorithm>
+#include <initializer_list>
+
 #include "simcore/assert.hh"
 
 namespace ioat::cpu {
@@ -18,55 +21,64 @@ CpuSet::CpuSet(Simulation &sim, const CpuConfig &cfg)
 }
 
 void
-CpuSet::submit(Tick duration, int core, bool highPriority,
-               sim::SmallFn done)
+CpuSet::RunQueue::push(Compute &w)
 {
-    sim::simAssert(core == kAnyCore ||
-                       (core >= 0 &&
-                        core < static_cast<int>(cores_.size())),
-                   "CpuSet::submit: bad core id");
-    WorkItem item{duration, std::move(done),
-                  highPriority ? "softirq" : "app"};
+    w.next_ = nullptr;
+    (tail != nullptr ? tail->next_ : head) = &w;
+    tail = &w;
+}
 
+CpuSet::Compute &
+CpuSet::RunQueue::pop()
+{
+    Compute &w = *head;
+    head = w.next_;
+    if (head == nullptr)
+        tail = nullptr;
+    return w;
+}
+
+void
+CpuSet::dispatch(Compute &w)
+{
+    sim::simAssert(w.core_ == kAnyCore ||
+                       (w.core_ >= 0 &&
+                        w.core_ < static_cast<int>(cores_.size())),
+                   "CpuSet::compute: bad core id");
+    int core = w.core_;
+    RunQueue *wait = nullptr;
     if (core == kAnyCore) {
-        const int idle = findIdleCore();
-        if (idle >= 0) {
-            startOn(static_cast<unsigned>(idle), std::move(item));
-        } else if (highPriority) {
-            globalHigh_.push_back(std::move(item));
-        } else {
-            globalQueue_.push_back(std::move(item));
-        }
-        return;
-    }
-
-    auto &c = cores_[static_cast<unsigned>(core)];
-    if (!c.busy) {
-        startOn(static_cast<unsigned>(core), std::move(item));
-    } else if (highPriority) {
-        c.high.push_back(std::move(item));
+        core = findIdleCore();
+        if (core < 0)
+            wait = w.highPriority_ ? &globalHigh_ : &globalQueue_;
     } else {
-        c.queue.push_back(std::move(item));
+        auto &c = cores_[static_cast<unsigned>(core)];
+        if (c.running != nullptr)
+            wait = w.highPriority_ ? &c.high : &c.queue;
+    }
+    if (wait != nullptr) {
+        wait->push(w);
+        ++queued_;
+    } else {
+        startOn(static_cast<unsigned>(core), w);
     }
 }
 
 void
-CpuSet::startOn(unsigned core_idx, WorkItem item)
+CpuSet::startOn(unsigned core_idx, Compute &w)
 {
     auto &c = cores_[core_idx];
-    sim::simAssert(!c.busy, "starting work on a busy core");
-    c.busy = true;
+    sim::simAssert(c.running == nullptr, "starting work on a busy core");
+    const Tick slice = w.highPriority_ ? w.remaining_
+                                       : std::min(w.remaining_, quantum_);
+    w.remaining_ -= slice;
+    c.running = &w;
     c.runStart = sim_.now();
-    c.runLabel = item.label;
-    // Park the completion on the core rather than in the finish
-    // event's capture: the event then captures two words instead of a
-    // whole SmallFn, keeping it inside the queue's inline budget.
-    c.done = std::move(item.done);
     ++busyCount_;
     busySignal_.update(sim_.now(), static_cast<double>(busyCount_));
-    totalBusy_ += item.duration;
+    totalBusy_ += slice;
 
-    sim_.queue().scheduleIn(item.duration,
+    sim_.queue().scheduleIn(slice,
                             [this, core_idx] { finishOn(core_idx); });
 }
 
@@ -74,48 +86,42 @@ void
 CpuSet::finishOn(unsigned core_idx)
 {
     auto &c = cores_[core_idx];
-    sim::simAssert(c.busy, "finishing work on an idle core");
+    Compute *done = c.running;
+    sim::simAssert(done != nullptr, "finishing work on an idle core");
     if (tracer_) {
-        tracer_->complete(c.runLabel, "cpu", c.runStart,
-                          sim_.now() - c.runStart,
+        tracer_->complete(done->highPriority_ ? "softirq" : "app", "cpu",
+                          c.runStart, sim_.now() - c.runStart,
                           sim::TraceWriter::Lanes::core0 +
                               static_cast<int>(core_idx));
     }
-    c.busy = false;
+    c.running = nullptr;
     --busyCount_;
     busySignal_.update(sim_.now(), static_cast<double>(busyCount_));
     completed_.inc();
 
-    // The next item's startOn overwrites c.done, so move ours out
-    // before dispatching; it still runs after the dispatch, exactly
-    // as when the finish event carried it.
-    sim::SmallFn done = std::move(c.done);
+    // Start the next waiting slice before continuing the finished
+    // compute, so its finish event is keyed first.  Interrupt-class
+    // work first (FIFO within each class), pinned work ahead of the
+    // global pool.
+    for (RunQueue *q : {&c.high, &globalHigh_, &c.queue, &globalQueue_}) {
+        if (!q->empty()) {
+            --queued_;
+            startOn(core_idx, q->pop());
+            break;
+        }
+    }
 
-    // Interrupt-class work first (FIFO within each class), pinned
-    // work ahead of the global pool.
-    auto take = [&](std::deque<WorkItem> &q) {
-        WorkItem next = std::move(q.front());
-        q.pop_front();
-        startOn(core_idx, std::move(next));
-    };
-    if (!c.high.empty())
-        take(c.high);
-    else if (!globalHigh_.empty())
-        take(globalHigh_);
-    else if (!c.queue.empty())
-        take(c.queue);
-    else if (!globalQueue_.empty())
-        take(globalQueue_);
-
-    if (done)
-        done();
+    if (done->remaining_ > Tick{0})
+        dispatch(*done);
+    else
+        done->waiter_.resume();
 }
 
 int
 CpuSet::findIdleCore() const
 {
     for (std::size_t i = 0; i < cores_.size(); ++i)
-        if (!cores_[i].busy)
+        if (cores_[i].running == nullptr)
             return static_cast<int>(i);
     return -1;
 }
@@ -131,15 +137,6 @@ void
 CpuSet::resetUtilizationWindow()
 {
     busySignal_.resetWindow(sim_.now());
-}
-
-std::size_t
-CpuSet::queuedWork() const
-{
-    std::size_t n = globalQueue_.size() + globalHigh_.size();
-    for (const auto &c : cores_)
-        n += c.queue.size() + c.high.size();
-    return n;
 }
 
 } // namespace ioat::cpu

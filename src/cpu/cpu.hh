@@ -19,14 +19,9 @@
 
 #include <coroutine>
 #include <cstdint>
-#include <deque>
 #include <vector>
 
-#include <algorithm>
-
-#include "simcore/coro.hh"
 #include "simcore/sim.hh"
-#include "simcore/smallfn.hh"
 #include "simcore/telemetry/registry.hh"
 #include "simcore/trace.hh"
 #include "simcore/stats.hh"
@@ -67,92 +62,24 @@ class CpuSet
 
     unsigned coreCount() const { return static_cast<unsigned>(cores_.size()); }
 
-    /** Awaitable for one unsliced work item. */
-    auto
-    computeChunk(Tick duration, int core = kAnyCore,
-                 bool highPriority = false)
-    {
-        struct Awaiter
-        {
-            CpuSet &cpu;
-            Tick duration;
-            int core;
-            bool highPriority;
-
-            bool await_ready() const noexcept { return duration == Tick{0}; }
-
-            void
-            await_suspend(std::coroutine_handle<> h)
-            {
-                cpu.submit(duration, core, highPriority,
-                           [h] { h.resume(); });
-            }
-
-            void await_resume() const noexcept {}
-        };
-        return Awaiter{*this, duration, core, highPriority};
-    }
+    class Compute;
 
     /**
      * Awaitable: occupy one core for @p duration, in preemption-
      * quantum slices unless @p highPriority.
      *
-     * Not a coroutine: slicing is driven by a small state machine on
-     * the awaiter itself, so one compute() costs no frame allocation
-     * no matter how many slices it splits into.
+     * Not a coroutine: the returned awaiter is itself the run-queue
+     * entry for its slices, so one compute() costs no frame, callback
+     * or queue-node allocation no matter how many slices it splits
+     * into.
      *
      * @param duration CPU time to consume
      * @param core specific core id, or kAnyCore
      * @param highPriority queue ahead of normal work (interrupts);
      *        runs as one unsliced item
      */
-    auto
-    compute(Tick duration, int core = kAnyCore, bool highPriority = false)
-    {
-        struct Awaiter
-        {
-            CpuSet &cpu;
-            Tick left;
-            int core;
-            bool highPriority;
-            std::coroutine_handle<> waiter = nullptr;
-
-            bool await_ready() const noexcept { return left == Tick{0}; }
-
-            void
-            await_suspend(std::coroutine_handle<> h)
-            {
-                waiter = h;
-                startNext();
-            }
-
-            /** Submit the next slice; resubmits from its completion. */
-            void
-            startNext()
-            {
-                const Tick slice = highPriority
-                                       ? left
-                                       : std::min(left, cpu.quantum_);
-                left -= slice;
-                cpu.submit(slice, core, highPriority, [this] {
-                    if (left > Tick{0})
-                        startNext();
-                    else
-                        waiter.resume();
-                });
-            }
-
-            void await_resume() const noexcept {}
-        };
-        return Awaiter{*this, duration, core, highPriority};
-    }
-
-    /**
-     * Fire-and-forget work item for non-coroutine contexts (device
-     * callbacks).  @p done runs when the work completes.
-     */
-    void submit(Tick duration, int core, bool highPriority,
-                sim::SmallFn done);
+    Compute compute(Tick duration, int core = kAnyCore,
+                    bool highPriority = false);
 
     /** Busy-core average over the current window, as a fraction 0..1. */
     double utilization() const;
@@ -164,7 +91,7 @@ class CpuSet
     unsigned busyCores() const { return busyCount_; }
 
     /** Work items waiting for a core right now. */
-    std::size_t queuedWork() const;
+    std::size_t queuedWork() const { return queued_; }
 
     /** Total CPU time consumed since construction. */
     Tick totalBusyTicks() const { return totalBusy_; }
@@ -195,24 +122,27 @@ class CpuSet
     }
 
   private:
-    struct WorkItem
+    /** Intrusive FIFO of waiting slices, linked through Compute. */
+    struct RunQueue
     {
-        Tick duration;
-        sim::SmallFn done;
-        const char *label = "app";
+        Compute *head = nullptr;
+        Compute *tail = nullptr;
+
+        bool empty() const { return head == nullptr; }
+        void push(Compute &w);
+        Compute &pop();
     };
 
     struct Core
     {
-        bool busy = false;
-        Tick runStart{};              ///< for tracing
-        const char *runLabel = "app"; ///< for tracing
-        sim::SmallFn done;          ///< completion of the running item
-        std::deque<WorkItem> high;  ///< pinned interrupt-class work
-        std::deque<WorkItem> queue; ///< pinned normal work
+        Compute *running = nullptr; ///< slice on this core; null = idle
+        Tick runStart{};            ///< for tracing
+        RunQueue high;              ///< pinned interrupt-class work
+        RunQueue queue;             ///< pinned normal work
     };
 
-    void startOn(unsigned core_idx, WorkItem item);
+    void dispatch(Compute &w);
+    void startOn(unsigned core_idx, Compute &w);
     void finishOn(unsigned core_idx);
     int findIdleCore() const;
 
@@ -220,13 +150,59 @@ class CpuSet
     sim::TraceWriter *tracer_ = nullptr;
     Tick quantum_;
     std::vector<Core> cores_;
-    std::deque<WorkItem> globalHigh_;  ///< interrupt-class, any core
-    std::deque<WorkItem> globalQueue_; ///< normal work for any core
+    RunQueue globalHigh_;  ///< interrupt-class, any core
+    RunQueue globalQueue_; ///< normal work for any core
+    std::size_t queued_ = 0;
     unsigned busyCount_ = 0;
     Tick totalBusy_{};
     sim::stats::TimeWeighted busySignal_{0.0};
     sim::stats::Counter completed_;
 };
+
+/**
+ * The awaiter compute() returns, and the run-queue entry for its
+ * slices.  It lives on the awaiting coroutine's frame for the whole
+ * suspension, so CpuSet links, slices and resumes it in place.
+ */
+class CpuSet::Compute
+{
+  public:
+    Compute(CpuSet &cpu, Tick duration, int core, bool highPriority)
+        : cpu_(cpu), remaining_(duration), core_(core),
+          highPriority_(highPriority)
+    {}
+
+    /** Linked into a run queue by address: never copied or moved. */
+    Compute(const Compute &) = delete;
+    Compute &operator=(const Compute &) = delete;
+
+    bool await_ready() const noexcept { return remaining_ == Tick{0}; }
+
+    void
+    await_suspend(std::coroutine_handle<> h)
+    {
+        waiter_ = h;
+        cpu_.dispatch(*this);
+    }
+
+    void await_resume() const noexcept {}
+
+  private:
+    friend class CpuSet;
+
+    CpuSet &cpu_;
+    Tick remaining_; ///< CPU time not yet started as a slice
+    int core_;
+    bool highPriority_;
+    std::coroutine_handle<> waiter_ = nullptr;
+    Compute *next_ = nullptr; ///< RunQueue link
+};
+
+inline CpuSet::Compute
+CpuSet::compute(Tick duration, int core, bool highPriority)
+{
+    return Compute(*this, duration, core, highPriority);
+}
 
 } // namespace ioat::cpu
 

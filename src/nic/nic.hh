@@ -20,6 +20,8 @@
 #ifndef IOAT_NIC_NIC_HH
 #define IOAT_NIC_NIC_HH
 
+#include <coroutine>
+#include <cstddef>
 #include <cstdint>
 #include <functional>
 #include <vector>
@@ -30,6 +32,7 @@
 #include "simcore/pool.hh"
 #include "simcore/sim.hh"
 #include "simcore/stats.hh"
+#include "simcore/sync.hh"
 #include "simcore/telemetry/registry.hh"
 #include "simcore/types.hh"
 
@@ -84,6 +87,73 @@ struct NicConfig
      * retransmission instead of being an impossible state.
      */
     unsigned rxRingSlots = 0;
+};
+
+/**
+ * One RX queue's hand-off from the NIC interrupt to the stack's
+ * receive loop: a FIFO of batches, one per interrupt, and the event
+ * that wakes the loop.  One consumer per mailbox, so a woken loop
+ * always finds a batch.
+ */
+class RxMailbox
+{
+  public:
+    explicit RxMailbox(Simulation &sim) : ready_(sim) {}
+
+    RxMailbox(const RxMailbox &) = delete;
+    RxMailbox &operator=(const RxMailbox &) = delete;
+
+    /** Queue one interrupt's batch and wake the waiting loop. */
+    void
+    post(std::vector<Burst> &&batch)
+    {
+        // Reclaim the taken prefix once it is at least half the
+        // buffer: the live tail moves down at most once per taken
+        // slot, and a standing backlog keeps the buffer bounded.
+        if (head_ * 2 >= batches_.size()) {
+            batches_.erase(batches_.begin(),
+                           batches_.begin() +
+                               static_cast<std::ptrdiff_t>(head_));
+            head_ = 0;
+        }
+        batches_.push_back(std::move(batch));
+        ready_.pulse();
+    }
+
+    /** Awaitable: the oldest queued batch, waiting while none is. */
+    auto
+    next()
+    {
+        struct Awaiter
+        {
+            RxMailbox &box;
+
+            bool
+            await_ready() const noexcept
+            {
+                return box.head_ < box.batches_.size();
+            }
+
+            void
+            await_suspend(std::coroutine_handle<> h)
+            {
+                box.ready_.addWaiter(h);
+            }
+
+            std::vector<Burst>
+            await_resume()
+            {
+                sim::simAssert(await_ready(), "RX loop woke to no batch");
+                return std::move(box.batches_[box.head_++]);
+            }
+        };
+        return Awaiter{*this};
+    }
+
+  private:
+    std::vector<std::vector<Burst>> batches_; ///< taken below head_
+    std::size_t head_ = 0;
+    sim::Event ready_;
 };
 
 /**
@@ -280,7 +350,8 @@ class Nic
     struct RxQueue
     {
         std::vector<Burst> pending;
-        bool irqScheduled = false;
+        /** Coalescing timer; empty while no window is open. */
+        sim::EventQueue::TimerHandle irqTimer;
     };
 
     /** Burst reached our egress link on the switch side. */
@@ -333,13 +404,11 @@ class Nic
 
         if (q.pending.size() >= cfg_.coalesceMaxBursts) {
             fireInterrupt(queueFor(burst.flow));
-        } else if (!q.irqScheduled) {
-            q.irqScheduled = true;
-            sim_.queue().scheduleIn(
+        } else if (!q.irqTimer) {
+            q.irqTimer = sim_.queue().scheduleIn(
                 cfg_.coalesceDelay,
                 [this, queue = queueFor(burst.flow)] {
-                    if (rxQueues_[queue].irqScheduled)
-                        fireInterrupt(queue);
+                    fireInterrupt(queue);
                 });
         }
     }
@@ -348,7 +417,10 @@ class Nic
     fireInterrupt(unsigned queue)
     {
         auto &q = rxQueues_[queue];
-        q.irqScheduled = false;
+        // Closes the coalescing window.  After an early (max-bursts)
+        // fire the armed timer must not fire the next batch early;
+        // cancelling clears the handle in every case.
+        sim_.queue().cancel(q.irqTimer);
         if (q.pending.empty())
             return;
         interrupts_.inc();

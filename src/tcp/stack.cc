@@ -292,9 +292,8 @@ TcpStack::TcpStack(const Host &host, nic::Nic &nic, const TcpConfig &cfg)
         onRxBatch(queue, std::move(b));
     });
     for (unsigned q = 0; q < nic_.rxQueueCount(); ++q) {
-        rxChannels_.push_back(
-            std::make_unique<sim::Channel<std::vector<Burst>>>(
-                host_.sim));
+        rxMailboxes_.push_back(
+            std::make_unique<nic::RxMailbox>(host_.sim));
         host_.sim.spawn(softirqLoop(q));
     }
 }
@@ -534,23 +533,26 @@ TcpStack::rxCoreFor(unsigned queue, std::uint64_t /*flow*/) const
 void
 TcpStack::onRxBatch(unsigned queue, std::vector<Burst> &&bursts)
 {
-    sim::simAssert(queue < rxChannels_.size(), "bad RX queue");
-    rxChannels_[queue]->push(std::move(bursts));
+    sim::simAssert(queue < rxMailboxes_.size(), "bad RX queue");
+    rxMailboxes_[queue]->post(std::move(bursts));
 }
 
 Coro<void>
 TcpStack::softirqLoop(unsigned queue)
 {
+    nic::RxMailbox &rx = *rxMailboxes_[queue];
     for (;;) {
-        auto batch = co_await rxChannels_[queue]->recv();
-        if (!batch.has_value())
-            co_return;
-        co_await processBatch(queue, std::move(*batch));
+        std::vector<Burst> batch = co_await rx.next();
+        co_await processBatch(queue, batch);
+        // Hand the drained vector back so a later interrupt reuses
+        // its capacity.
+        nic_.recycleBatch(std::move(batch));
     }
 }
 
 Coro<void>
-TcpStack::processBatch(unsigned queue, std::vector<Burst> bursts)
+TcpStack::processBatch(unsigned queue,
+                       const std::vector<Burst> &bursts)
 {
     const int core = rxCoreFor(queue, bursts.front().flow);
 
@@ -822,11 +824,6 @@ TcpStack::processBatch(unsigned queue, std::vector<Burst> bursts)
           }
         }
     }
-
-    // Hand the drained batch vector back to the NIC so the next
-    // interrupt reuses its capacity.
-    bursts.clear();
-    nic_.recycleBatch(std::move(bursts));
 }
 
 Coro<void>

@@ -342,7 +342,8 @@ class TcpStack
     Coro<void> softirqLoop(unsigned queue);
 
     /** Process one interrupt's worth of bursts. */
-    Coro<void> processBatch(unsigned queue, std::vector<Burst> bursts);
+    Coro<void> processBatch(unsigned queue,
+                            const std::vector<Burst> &bursts);
 
     /** Core that services interrupts for a given flow's port. */
     int rxCoreFor(unsigned queue, std::uint64_t flow) const;
@@ -392,9 +393,8 @@ class TcpStack
     std::map<std::pair<std::uint64_t, std::uint64_t>, std::uint64_t>
         synSeen_;
 
-    /** One pending-batch channel per RX queue (softirq mailboxes). */
-    std::vector<std::unique_ptr<sim::Channel<std::vector<Burst>>>>
-        rxChannels_;
+    /** One batch mailbox per RX queue, drained by softirqLoop(). */
+    std::vector<std::unique_ptr<nic::RxMailbox>> rxMailboxes_;
 
     /** Header/metadata pool footprint (protected iff split-header). */
     mem::FootprintId hdrPool_;

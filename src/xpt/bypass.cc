@@ -260,9 +260,8 @@ BypassStack::BypassStack(const tcp::Host &host, nic::Nic &nic,
         onRxBatch(queue, std::move(b));
     });
     for (unsigned q = 0; q < nic_.rxQueueCount(); ++q) {
-        rxChannels_.push_back(
-            std::make_unique<sim::Channel<std::vector<Burst>>>(
-                host_.sim));
+        rxMailboxes_.push_back(
+            std::make_unique<nic::RxMailbox>(host_.sim));
         host_.sim.spawn(pollLoop(q));
     }
 }
@@ -467,8 +466,8 @@ BypassStack::pollCoreFor(unsigned queue) const
 void
 BypassStack::onRxBatch(unsigned queue, std::vector<Burst> &&bursts)
 {
-    sim::simAssert(queue < rxChannels_.size(), "bad RX queue");
-    rxChannels_[queue]->push(std::move(bursts));
+    sim::simAssert(queue < rxMailboxes_.size(), "bad RX queue");
+    rxMailboxes_[queue]->post(std::move(bursts));
 }
 
 Coro<void>
@@ -478,16 +477,17 @@ BypassStack::pollLoop(unsigned queue)
     // time (they would reschedule forever); the poll core's CPU
     // charge is taken per serviced pass in processBatch, which is
     // what the utilization window observes.
+    nic::RxMailbox &rx = *rxMailboxes_[queue];
     for (;;) {
-        auto batch = co_await rxChannels_[queue]->recv();
-        if (!batch.has_value())
-            co_return;
-        co_await processBatch(queue, std::move(*batch));
+        std::vector<Burst> batch = co_await rx.next();
+        co_await processBatch(queue, batch);
+        nic_.recycleBatch(std::move(batch));
     }
 }
 
 Coro<void>
-BypassStack::processBatch(unsigned queue, std::vector<Burst> bursts)
+BypassStack::processBatch(unsigned queue,
+                          const std::vector<Burst> &bursts)
 {
     const int core = pollCoreFor(queue);
     pollPasses_.inc();
@@ -693,9 +693,6 @@ BypassStack::processBatch(unsigned queue, std::vector<Burst> bursts)
           }
         }
     }
-
-    bursts.clear();
-    nic_.recycleBatch(std::move(bursts));
 }
 
 void

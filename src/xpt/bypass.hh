@@ -379,7 +379,8 @@ class BypassStack
     Coro<void> pollLoop(unsigned queue);
 
     /** Process one poll pass's worth of bursts. */
-    Coro<void> processBatch(unsigned queue, std::vector<Burst> bursts);
+    Coro<void> processBatch(unsigned queue,
+                            const std::vector<Burst> &bursts);
 
     /** Core a queue's poll loop is pinned to. */
     int pollCoreFor(unsigned queue) const;
@@ -414,9 +415,8 @@ class BypassStack
     std::map<std::pair<std::uint64_t, std::uint64_t>, std::uint64_t>
         synSeen_;
 
-    /** One pending-batch channel per RX queue (poll mailboxes). */
-    std::vector<std::unique_ptr<sim::Channel<std::vector<Burst>>>>
-        rxChannels_;
+    /** One batch mailbox per RX queue, drained by pollLoop(). */
+    std::vector<std::unique_ptr<nic::RxMailbox>> rxMailboxes_;
 
     /** Registered buffer pool's cache footprint (pinned, reused). */
     mem::FootprintId bufPool_;

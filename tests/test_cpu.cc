@@ -15,6 +15,20 @@ using sim::Coro;
 using sim::Simulation;
 using sim::Tick;
 
+/** Spawn one compute(); bump @p done (if non-null) once it returns. */
+void
+spawnCompute(Simulation &sim, cpu::CpuSet &cpu, Tick duration,
+             int core = cpu::CpuSet::kAnyCore, bool high = false,
+             int *done = nullptr)
+{
+    sim.spawn([](cpu::CpuSet &c, Tick d, int k, bool hi,
+                 int *n) -> Coro<void> {
+        co_await c.compute(d, k, hi);
+        if (n != nullptr)
+            ++*n;
+    }(cpu, duration, core, high, done));
+}
+
 TEST(Cpu, SingleItemOccupiesOneCore)
 {
     Simulation sim;
@@ -71,7 +85,7 @@ TEST(Cpu, UtilizationFullWhenSaturated)
     Simulation sim;
     cpu::CpuSet cpu(sim, {.cores = 2});
     for (int i = 0; i < 8; ++i)
-        cpu.submit(ioat::sim::Tick{1000}, cpu::CpuSet::kAnyCore, false, nullptr);
+        spawnCompute(sim, cpu, ioat::sim::Tick{1000});
     sim.run();
     // 8 items of 1000 on 2 cores -> busy the whole 4000 ticks.
     EXPECT_EQ(sim.now(), ioat::sim::Tick{4000});
@@ -82,7 +96,7 @@ TEST(Cpu, UtilizationHalfWhenOneOfTwoCoresBusy)
 {
     Simulation sim;
     cpu::CpuSet cpu(sim, {.cores = 2});
-    cpu.submit(ioat::sim::Tick{1000}, cpu::CpuSet::kAnyCore, false, nullptr);
+    spawnCompute(sim, cpu, ioat::sim::Tick{1000});
     sim.run();
     EXPECT_NEAR(cpu.utilization(), 0.5, 1e-9);
 }
@@ -91,7 +105,7 @@ TEST(Cpu, UtilizationWindowReset)
 {
     Simulation sim;
     cpu::CpuSet cpu(sim, {.cores = 1});
-    cpu.submit(ioat::sim::Tick{1000}, cpu::CpuSet::kAnyCore, false, nullptr);
+    spawnCompute(sim, cpu, ioat::sim::Tick{1000});
     sim.run();
     EXPECT_NEAR(cpu.utilization(), 1.0, 1e-9);
     cpu.resetUtilizationWindow();
@@ -105,7 +119,8 @@ TEST(Cpu, PinnedWorkSerializesOnOneCore)
     cpu::CpuSet cpu(sim, {.cores = 4});
     int done = 0;
     for (int i = 0; i < 4; ++i) {
-        cpu.submit(ioat::sim::Tick{1000}, /*core=*/0, false, [&done] { ++done; });
+        spawnCompute(sim, cpu, ioat::sim::Tick{1000}, /*core=*/0, false,
+                     &done);
     }
     sim.run();
     EXPECT_EQ(done, 4);
@@ -119,10 +134,13 @@ TEST(Cpu, HighPriorityJumpsTheQueue)
     cpu::CpuSet cpu(sim, {.cores = 1});
     std::vector<int> order;
     // Occupy the core, then queue: low(1), low(2), high(3).
-    cpu.submit(ioat::sim::Tick{100}, 0, false, [&] { order.push_back(0); });
-    cpu.submit(ioat::sim::Tick{100}, 0, false, [&] { order.push_back(1); });
-    cpu.submit(ioat::sim::Tick{100}, 0, false, [&] { order.push_back(2); });
-    cpu.submit(ioat::sim::Tick{100}, 0, true, [&] { order.push_back(3); });
+    for (int i = 0; i < 4; ++i) {
+        sim.spawn([](cpu::CpuSet &c, std::vector<int> &ord,
+                     int id) -> Coro<void> {
+            co_await c.compute(ioat::sim::Tick{100}, 0, id == 3);
+            ord.push_back(id);
+        }(cpu, order, i));
+    }
     sim.run();
     EXPECT_EQ(order, (std::vector<int>{0, 3, 1, 2}));
 }
@@ -145,9 +163,10 @@ TEST(Cpu, QueuedWorkCountsPending)
 {
     Simulation sim;
     cpu::CpuSet cpu(sim, {.cores = 1});
-    cpu.submit(ioat::sim::Tick{100}, cpu::CpuSet::kAnyCore, false, nullptr);
-    cpu.submit(ioat::sim::Tick{100}, cpu::CpuSet::kAnyCore, false, nullptr);
-    cpu.submit(ioat::sim::Tick{100}, 0, false, nullptr);
+    spawnCompute(sim, cpu, ioat::sim::Tick{100});
+    spawnCompute(sim, cpu, ioat::sim::Tick{100});
+    spawnCompute(sim, cpu, ioat::sim::Tick{100}, 0);
+    sim.runFor(Tick{0}); // start the tasks; the first slice runs
     EXPECT_EQ(cpu.busyCores(), 1u);
     EXPECT_EQ(cpu.queuedWork(), 2u);
     sim.run();
@@ -168,7 +187,7 @@ TEST_P(CpuWorkConservation, MakespanAtLeastTotalOverCores)
     cpu::CpuSet cpu(sim, {.cores = cores});
     const Tick per{997};
     for (unsigned i = 0; i < tasks; ++i)
-        cpu.submit(per, cpu::CpuSet::kAnyCore, false, nullptr);
+        spawnCompute(sim, cpu, per);
     sim.run();
     const Tick total = per * tasks;
     EXPECT_GE(sim.now() * cores, total);

@@ -9,8 +9,12 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <deque>
 #include <list>
 #include <map>
+#include <queue>
+#include <tuple>
+#include <utility>
 #include <vector>
 
 #include "cpu/cpu.hh"
@@ -272,7 +276,11 @@ TEST(ModelBased, CpuConservesWorkUnderRandomMix)
                              : ioat::cpu::CpuSet::kAnyCore;
         const bool high = rng.uniform() < 0.2;
         total += dur;
-        cpus.submit(dur, core, high, [&done] { ++done; });
+        sim.spawn([](ioat::cpu::CpuSet &c, sim::Tick d, int k, bool hi,
+                     int &n) -> sim::Coro<void> {
+            co_await c.compute(d, k, hi);
+            ++n;
+        }(cpus, dur, core, high, done));
     }
     sim.run();
 
@@ -283,6 +291,152 @@ TEST(ModelBased, CpuConservesWorkUnderRandomMix)
     // Makespan bounds: between total/3 and total.
     EXPECT_GE(sim.now() * 3, total);
     EXPECT_LE(sim.now(), total);
+}
+
+// --------------------------------------------------------------------
+// CPU model: the exact schedule of a reference scheduler
+// --------------------------------------------------------------------
+
+/** One compute() call of the CPU reference-model test. */
+struct CpuJob
+{
+    int id = 0;
+    sim::Tick arrival{};
+    sim::Tick duration{};
+    int core = ioat::cpu::CpuSet::kAnyCore;
+    bool high = false;
+};
+
+/** (job id, completion tick), in completion order. */
+using Completion = std::pair<int, std::uint64_t>;
+
+/**
+ * The CPU scheduling policy, written out plainly: per-core and global
+ * FIFOs, high before normal and pinned before global, normal work in
+ * quantum slices, and a core that finishes a slice starts the next
+ * waiting slice before the finished compute continues.  Events run in
+ * (tick, schedule order), as on the simulator's one lane.
+ */
+std::vector<Completion>
+referenceSchedule(const std::vector<CpuJob> &jobs, unsigned cores,
+                  sim::Tick quantum)
+{
+    struct Ev
+    {
+        sim::Tick when;
+        std::uint64_t seq;
+        int job;  ///< arrival of this job, or -1
+        int core; ///< slice finish on this core (job == -1)
+    };
+    auto later = [](const Ev &a, const Ev &b) {
+        return std::tie(a.when, a.seq) > std::tie(b.when, b.seq);
+    };
+    std::priority_queue<Ev, std::vector<Ev>, decltype(later)> events(
+        later);
+    std::uint64_t seq = 0;
+    for (const CpuJob &j : jobs)
+        events.push({j.arrival, seq++, j.id, -1});
+
+    const auto n = static_cast<std::size_t>(cores);
+    std::vector<sim::Tick> left(jobs.size());
+    std::vector<int> running(n, -1);
+    std::vector<std::deque<int>> pinnedHigh(n), pinnedNormal(n);
+    std::deque<int> anyHigh, anyNormal;
+    std::vector<Completion> out;
+    sim::Tick now{};
+
+    auto start = [&](std::size_t core, int id) {
+        const auto i = static_cast<std::size_t>(id);
+        running[core] = id;
+        const sim::Tick slice =
+            jobs[i].high ? left[i] : std::min(left[i], quantum);
+        left[i] -= slice;
+        events.push({now + slice, seq++, -1, static_cast<int>(core)});
+    };
+    auto dispatch = [&](int id) {
+        const CpuJob &j = jobs[static_cast<std::size_t>(id)];
+        if (j.core != ioat::cpu::CpuSet::kAnyCore) {
+            const auto core = static_cast<std::size_t>(j.core);
+            if (running[core] < 0)
+                start(core, id);
+            else
+                (j.high ? pinnedHigh : pinnedNormal)[core].push_back(id);
+            return;
+        }
+        for (std::size_t core = 0; core < n; ++core) {
+            if (running[core] < 0) {
+                start(core, id);
+                return;
+            }
+        }
+        (j.high ? anyHigh : anyNormal).push_back(id);
+    };
+
+    while (!events.empty()) {
+        const Ev ev = events.top();
+        events.pop();
+        now = ev.when;
+        if (ev.job >= 0) {
+            left[static_cast<std::size_t>(ev.job)] =
+                jobs[static_cast<std::size_t>(ev.job)].duration;
+            dispatch(ev.job);
+            continue;
+        }
+        const auto core = static_cast<std::size_t>(ev.core);
+        const int id = running[core];
+        running[core] = -1;
+        for (std::deque<int> *q : {&pinnedHigh[core], &anyHigh,
+                                   &pinnedNormal[core], &anyNormal}) {
+            if (!q->empty()) {
+                start(core, q->front());
+                q->pop_front();
+                break;
+            }
+        }
+        if (left[static_cast<std::size_t>(id)] > sim::Tick{0})
+            dispatch(id);
+        else
+            out.emplace_back(id, now.count());
+    }
+    return out;
+}
+
+TEST(ModelBased, CpuMatchesReferenceScheduler)
+{
+    constexpr unsigned kCores = 3;
+    Rng rng(17);
+    // Ticks on a 10 us grid so many slices finish on the same tick,
+    // which pins tie order as well as policy.  About 1.1x offered
+    // load: queues build and drain throughout the run.
+    std::vector<CpuJob> jobs(400);
+    for (std::size_t i = 0; i < jobs.size(); ++i) {
+        CpuJob &j = jobs[i];
+        j.id = static_cast<int>(i);
+        j.arrival = sim::microseconds(10) * rng.uniformInt(0, 1000);
+        j.duration = sim::microseconds(10) * rng.uniformInt(1, 15);
+        if (rng.uniform() < 0.4)
+            j.core = static_cast<int>(rng.uniformInt(0, kCores - 1));
+        j.high = rng.uniform() < 0.25;
+    }
+
+    Simulation sim;
+    ioat::cpu::CpuSet cpus(sim, {.cores = kCores});
+    std::vector<Completion> got;
+    for (const CpuJob &j : jobs) {
+        sim.spawn([](Simulation &s, ioat::cpu::CpuSet &c, CpuJob job,
+                     std::vector<Completion> &out) -> sim::Coro<void> {
+            co_await s.delay(job.arrival);
+            co_await c.compute(job.duration, job.core, job.high);
+            out.emplace_back(job.id, s.now().count());
+        }(sim, cpus, j, got));
+    }
+    sim.run();
+
+    ASSERT_EQ(got.size(), jobs.size());
+    EXPECT_EQ(got,
+              referenceSchedule(jobs, kCores, cpus.preemptionQuantum()));
+    // Durations straddle the 50 us quantum, so some computes sliced.
+    EXPECT_GT(cpus.completedItems(), jobs.size());
 }
 
 } // namespace

@@ -225,6 +225,33 @@ TEST(Nic, CoalesceMaxBurstsFiresEarly)
     EXPECT_EQ(batches, 2u); // two full batches of 4
 }
 
+TEST(Nic, CoalescingWindowRestartsAfterEarlyFire)
+{
+    Simulation sim;
+    net::Switch fabric(sim);
+    auto cfg = gigePorts(1);
+    nic::Nic sender(sim, fabric, cfg);
+    cfg.coalesceDelay = sim::microseconds(100);
+    cfg.coalesceMaxBursts = 2;
+    nic::Nic receiver(sim, fabric, cfg);
+
+    std::vector<Tick> fired;
+    receiver.setRxHandler([&](unsigned, std::vector<Burst> &&) {
+        fired.push_back(sim.now());
+    });
+    // Two back-to-back bursts fill the batch and fire early; a third,
+    // sent 50 us later, opens a fresh 100 us window of its own.
+    for (int i = 0; i < 2; ++i)
+        sender.transmit(dataBurst(receiver.id(), 0, 512, sender));
+    sim.queue().schedule(sim::microseconds(50), [&] {
+        sender.transmit(dataBurst(receiver.id(), 0, 512, sender));
+    });
+    sim.run();
+    ASSERT_EQ(fired.size(), 2u);
+    EXPECT_LT(fired[0], sim::microseconds(50));
+    EXPECT_GE(fired[1], sim::microseconds(150));
+}
+
 TEST(Nic, TrafficCounters)
 {
     TwoNodes t;

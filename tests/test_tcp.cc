@@ -6,11 +6,16 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <sstream>
+#include <string>
+
 #include "core/node.hh"
 #include "core/async_memcpy.hh"
 #include "core/testbed.hh"
 #include "simcore/simcore.hh"
 #include "sock/socket.hh"
+#include "xpt/bypass.hh"
 
 namespace {
 
@@ -406,6 +411,92 @@ TEST(AsyncMemcpy, SubmitOverlapsWithComputation)
     // 4 MB at 2 GB/s is ~2 ms: near-full overlap with the 2 ms work.
     EXPECT_LT(overlapped, serial * 3 / 4);
 }
+
+// --------------------------------------------------------------------
+// RX hand-off: one pass per interrupt, in interrupt order
+// --------------------------------------------------------------------
+
+class RxBacklog : public ::testing::TestWithParam<core::TransportKind>
+{};
+
+TEST_P(RxBacklog, EachInterruptIsItsOwnPassInOrder)
+{
+    // A one-core receiver whose every softirq or poll pass costs
+    // 200 us, fed one 8 KB burst (one interrupt) about every 70 us:
+    // interrupts queue up behind the running pass.  The receiving
+    // application only accepts, so the passes are the core's only
+    // work.  Reliable mode makes a reordered pass visible as a
+    // go-back-N out-of-order drop.
+    constexpr std::size_t kChunks = 8;
+    NodeConfig cfg = NodeConfig::server(IoatConfig::disabled(), 1);
+    cfg.transport = GetParam();
+    cfg.tcp.reliable = true;
+    NodeConfig rcfg = cfg;
+    rcfg.cpu.cores = 1;
+    rcfg.tcp.rxIrqEntry = sim::microseconds(200);
+    rcfg.bypass.rxPollEntry = sim::microseconds(200);
+
+    Simulation sim;
+    net::Switch fabric(sim, sim::nanoseconds(2000));
+    Node sender(sim, fabric, cfg);
+    Node receiver(sim, fabric, rcfg);
+    sim::TraceWriter tw;
+    receiver.cpu().setTracer(&tw);
+
+    receiver.spawn([](Node &n) -> Coro<void> {
+        sock::Listener l(n.transport(), 80);
+        (void)co_await l.accept(); // accept but never recv
+    }(receiver));
+    sender.spawn([](Node &n, net::NodeId dst,
+                    std::size_t chunks) -> Coro<void> {
+        sock::Socket c = co_await n.transport().connect(dst, 80);
+        for (std::size_t i = 0; i < chunks; ++i)
+            co_await c.sendAll(sim::kib(8));
+    }(sender, receiver.id(), kChunks));
+    // Batches waiting behind the running pass, sampled every 10 us.
+    std::uint64_t most_waiting = 0;
+    sim.spawn([](Simulation &s, Node &n,
+                 std::uint64_t &most) -> Coro<void> {
+        for (int i = 0; i < 500; ++i) {
+            co_await s.delay(sim::microseconds(10));
+            const std::uint64_t started =
+                n.cpu().completedItems() + n.cpu().busyCores();
+            most = std::max(most, n.nic().interrupts() - started);
+        }
+    }(sim, receiver, most_waiting));
+    sim.runFor(sim::milliseconds(20));
+
+    EXPECT_GE(most_waiting, 3u);
+    // SYN plus one interrupt per data burst.
+    const std::uint64_t irqs = receiver.nic().interrupts();
+    EXPECT_EQ(irqs, kChunks + 1);
+    std::ostringstream os;
+    tw.write(os);
+    const std::string trace = os.str();
+    std::uint64_t softirq_spans = 0;
+    for (auto at = trace.find("\"name\":\"softirq\"");
+         at != std::string::npos;
+         at = trace.find("\"name\":\"softirq\"", at + 1))
+        ++softirq_spans;
+    EXPECT_EQ(softirq_spans, irqs);
+    if (xpt::BypassStack *byp = receiver.bypassStack()) {
+        EXPECT_EQ(byp->pollPasses(), irqs);
+        EXPECT_EQ(byp->rxBursts(), kChunks);
+        EXPECT_EQ(byp->rxOutOfOrderDrops(), 0u);
+    } else {
+        EXPECT_EQ(receiver.stack().rxSegments(), kChunks);
+        EXPECT_EQ(receiver.stack().rxOutOfOrderDrops(), 0u);
+    }
+}
+
+INSTANTIATE_TEST_SUITE_P(Transports, RxBacklog,
+                         ::testing::Values(core::TransportKind::tcp,
+                                           core::TransportKind::bypass),
+                         [](const auto &p) {
+                             return p.param == core::TransportKind::tcp
+                                        ? std::string("tcp")
+                                        : std::string("bypass");
+                         });
 
 TEST(AsyncMemcpy, BreakevenReflectsPinningCaveat)
 {

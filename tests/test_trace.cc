@@ -108,8 +108,13 @@ TEST(Trace, CpuRecordsWorkSpans)
     TraceWriter tw;
     cpu.setTracer(&tw);
 
-    cpu.submit(ioat::sim::Tick{1000}, cpu::CpuSet::kAnyCore, false, nullptr);
-    cpu.submit(ioat::sim::Tick{500}, cpu::CpuSet::kAnyCore, true, nullptr);
+    for (const bool high : {false, true}) {
+        sim.spawn([](cpu::CpuSet &c, bool hi) -> Coro<void> {
+            co_await c.compute(
+                hi ? ioat::sim::Tick{500} : ioat::sim::Tick{1000},
+                cpu::CpuSet::kAnyCore, hi);
+        }(cpu, high));
+    }
     sim.run();
 
     EXPECT_EQ(tw.eventCount(), 2u);
