@@ -11,7 +11,6 @@
  */
 
 #include <iostream>
-#include <optional>
 
 #include "common.hh"
 
@@ -24,30 +23,14 @@ double
 run(std::size_t copybreak, std::size_t msg,
     const Options *report = nullptr)
 {
-    Simulation sim;
-    net::Switch fabric(sim, sim::nanoseconds(2000));
     NodeConfig cfg = NodeConfig::server(core::IoatConfig::enabled(), 4);
     cfg.tcp.dmaCopyBreak = copybreak;
-    Node client(sim, fabric, cfg);
-    Node server(sim, fabric, cfg);
-
-    core::AppMemory mem(server.host(), "sink");
-    std::optional<TelemetryRun> tr;
-    if (report)
-        tr.emplace(sim, *report);
-    sim.spawn(streamSinkLoop(server, 5001, {.recvChunk = msg}, mem));
-    for (unsigned i = 0; i < 4; ++i)
-        sim.spawn(streamSenderLoop(client, server.id(), 5001, msg));
-
-    Meter meter(sim);
-    meter.warmup(sim::milliseconds(100), {&client, &server});
-    meter.run(sim::milliseconds(400));
-
-    if (tr)
+    StreamPair rig(cfg, report);
+    const StreamResult r = rig.run({.streams = 4, .chunk = msg});
+    if (TelemetryRun *tr = rig.telemetry())
         tr->finish({{"copybreak", std::to_string(copybreak)},
                     {"msgBytes", std::to_string(msg)}});
-
-    return server.cpu().utilization();
+    return r.cpu;
 }
 
 } // namespace

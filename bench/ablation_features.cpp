@@ -10,7 +10,6 @@
  */
 
 #include <iostream>
-#include <optional>
 
 #include "common.hh"
 
@@ -19,44 +18,18 @@ using namespace ioat::bench;
 
 namespace {
 
-struct Result
-{
-    double mbps;
-    double cpu;
-};
-
-Result
+StreamResult
 run(core::IoatConfig features, const Options *report = nullptr)
 {
-    Simulation sim;
-    net::Switch fabric(sim, sim::nanoseconds(2000));
-    Node client(sim, fabric, NodeConfig::server(features, 6));
-    Node server(sim, fabric, NodeConfig::server(features, 6));
-
-    core::AppMemory mem(server.host(), "sink");
-    std::optional<TelemetryRun> tr;
-    if (report)
-        tr.emplace(sim, *report);
-    sim.spawn(streamSinkLoop(
-        server, 5001, {.recvChunk = 64 * 1024, .touchPayload = true},
-        mem));
-    for (unsigned i = 0; i < 12; ++i)
-        sim.spawn(streamSenderLoop(client, server.id(), 5001, 64 * 1024));
-
-    Meter meter(sim);
-    meter.warmup(sim::milliseconds(100), {&client, &server});
-    const std::uint64_t rx0 = server.stack().rxPayloadBytes();
-    meter.run(sim::milliseconds(400));
-    const std::uint64_t rx1 = server.stack().rxPayloadBytes();
-
-    if (tr)
+    StreamPair rig(NodeConfig::server(features, 6), report);
+    const StreamResult r =
+        rig.run({.streams = 12, .touchPayload = true});
+    if (TelemetryRun *tr = rig.telemetry())
         tr->finish(
             {{"dma", features.dmaEngine ? "true" : "false"},
              {"split", features.splitHeader ? "true" : "false"},
              {"mrq", features.multiQueue ? "true" : "false"}});
-
-    return {sim::throughputMbps(rx1 - rx0, meter.elapsed()),
-            server.cpu().utilization()};
+    return r;
 }
 
 } // namespace
@@ -69,7 +42,7 @@ main(int argc, char **argv)
 
     std::cout << "=== Ablation: I/OAT feature matrix (6 ports, 12 "
                  "streams, 64K messages) ===\n\n";
-    const Result base = run(core::IoatConfig::disabled());
+    const StreamResult base = run(core::IoatConfig::disabled());
 
     sim::Table t({"dma", "split", "mrq", "Mbps", "receiver CPU",
                   "CPU vs baseline"});
@@ -78,7 +51,7 @@ main(int argc, char **argv)
         f.dmaEngine = mask & 1;
         f.splitHeader = mask & 2;
         f.multiQueue = mask & 4;
-        const Result r = run(f);
+        const StreamResult r = run(f);
         t.addRow({f.dmaEngine ? "on" : "-", f.splitHeader ? "on" : "-",
                   f.multiQueue ? "on" : "-", num(r.mbps, 0), pct(r.cpu),
                   pct(relativeBenefit(r.cpu, base.cpu))});

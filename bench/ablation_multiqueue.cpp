@@ -13,7 +13,6 @@
  */
 
 #include <iostream>
-#include <optional>
 
 #include "common.hh"
 
@@ -22,45 +21,20 @@ using namespace ioat::bench;
 
 namespace {
 
-struct Result
-{
-    double mbps;
-    double cpu;
-};
-
-Result
+StreamResult
 run(bool multi_queue, unsigned flows, std::size_t msg,
     const Options *report = nullptr)
 {
-    Simulation sim;
-    net::Switch fabric(sim, sim::nanoseconds(2000));
     // Stress a single adapter: 2 ports, many flows.
     core::IoatConfig features = core::IoatConfig::enabled();
     features.multiQueue = multi_queue;
-    Node client(sim, fabric, NodeConfig::server(features, 2));
-    Node server(sim, fabric, NodeConfig::server(features, 2));
-
-    core::AppMemory mem(server.host(), "sink");
-    std::optional<TelemetryRun> tr;
-    if (report)
-        tr.emplace(sim, *report);
-    sim.spawn(streamSinkLoop(server, 5001, {.recvChunk = msg}, mem));
-    for (unsigned i = 0; i < flows; ++i)
-        sim.spawn(streamSenderLoop(client, server.id(), 5001, msg));
-
-    Meter meter(sim);
-    meter.warmup(sim::milliseconds(100), {&client, &server});
-    const std::uint64_t rx0 = server.stack().rxPayloadBytes();
-    meter.run(sim::milliseconds(400));
-    const std::uint64_t rx1 = server.stack().rxPayloadBytes();
-
-    if (tr)
+    StreamPair rig(NodeConfig::server(features, 2), report);
+    const StreamResult r = rig.run({.streams = flows, .chunk = msg});
+    if (TelemetryRun *tr = rig.telemetry())
         tr->finish({{"multiQueue", multi_queue ? "true" : "false"},
                     {"flows", std::to_string(flows)},
                     {"msgBytes", std::to_string(msg)}});
-
-    return {sim::throughputMbps(rx1 - rx0, meter.elapsed()),
-            server.cpu().utilization()};
+    return r;
 }
 
 } // namespace
@@ -78,8 +52,8 @@ main(int argc, char **argv)
     sim::Table t({"flows", "1-queue Mbps", "MRQ Mbps", "gain",
                   "1-queue CPU", "MRQ CPU"});
     for (unsigned flows : {2u, 4u, 8u, 16u, 32u}) {
-        const Result base = run(false, flows, 1024);
-        const Result mrq = run(true, flows, 1024);
+        const StreamResult base = run(false, flows, 1024);
+        const StreamResult mrq = run(true, flows, 1024);
         t.addRow({std::to_string(flows), num(base.mbps, 0),
                   num(mrq.mbps, 0),
                   pct((mrq.mbps - base.mbps) / base.mbps),

@@ -38,8 +38,7 @@
 #include "datacenter/proxy.hh"
 #include "datacenter/web_server.hh"
 #include "datacenter/workload.hh"
-#include "pvfs/client.hh"
-#include "pvfs/server.hh"
+#include "pvfs/deployment.hh"
 #include "simcore/lifecycle.hh"
 
 using namespace ioat;
@@ -232,22 +231,11 @@ runOne(std::uint64_t seed, const ChaosParams &p,
     pcfg.rpcMaxRetries = 4;
     pcfg.trackDurability = true;
     pcfg.journaledWrites = p.journal != 0;
-    pvfs::FsState fs;
-    pvfs::MetadataManager mgr(mgrNode, pcfg, fs);
-    mgr.start();
-    pvfs::IodServer iod0(iod0Node, pcfg, 0);
-    pvfs::IodServer iod1(iod1Node, pcfg, 1);
-    iod0.start();
-    iod1.start();
-    const pvfs::FileHandle fh = fs.create("chaos");
-    fs.extendTo(fh, 32 * 1024 * 1024);
-    pvfs::PvfsClient pvfsClient(
-        pvfsClientNode, pcfg,
-        pvfs::DaemonAddr{mgrNode.id(), pcfg.mgrPort},
-        {pvfs::DaemonAddr{iod0Node.id(), iod0.port()},
-         pvfs::DaemonAddr{iod1Node.id(), iod1.port()}});
+    pvfs::Deployment fsd(pcfg, mgrNode, {&iod0Node, &iod1Node});
+    const pvfs::FileHandle fh = fsd.presizeFile("chaos", 32 * 1024 * 1024);
+    const auto pvfsClient = fsd.makeClient(pvfsClientNode);
     PvfsDriverState pvfsState;
-    sim.spawn(pvfsDriver(pvfsClient, fh, pvfsState));
+    sim.spawn(pvfsDriver(*pvfsClient, fh, pvfsState));
 
     // ---- crash/restart supervision --------------------------------
     const std::vector<net::NodeId> victims = {
@@ -264,11 +252,11 @@ runOne(std::uint64_t seed, const ChaosParams &p,
     lifecycle.attach(web1.id(), &web1);
     lifecycle.attach(web1.id(), &server1);
     lifecycle.attach(mgrNode.id(), &mgrNode);
-    lifecycle.attach(mgrNode.id(), &mgr);
+    lifecycle.attach(mgrNode.id(), &fsd.manager());
     lifecycle.attach(iod0Node.id(), &iod0Node);
-    lifecycle.attach(iod0Node.id(), &iod0);
+    lifecycle.attach(iod0Node.id(), &fsd.iod(0));
     lifecycle.attach(iod1Node.id(), &iod1Node);
-    lifecycle.attach(iod1Node.id(), &iod1);
+    lifecycle.attach(iod1Node.id(), &fsd.iod(1));
 
     for (unsigned i = 0; i < windows.size(); ++i) {
         if (dropped.count(i) > 0)
@@ -306,8 +294,9 @@ runOne(std::uint64_t seed, const ChaosParams &p,
     out.failovers = proxy.failovers();
     out.pvfsOps = pvfsState.ops;
     out.pvfsErrs = pvfsState.errOps;
-    out.ackedWrites = pvfsClient.ackedWrites().size();
-    out.journalReplays = iod0.journalReplays() + iod1.journalReplays();
+    out.ackedWrites = pvfsClient->ackedWrites().size();
+    out.journalReplays =
+        fsd.iod(0).journalReplays() + fsd.iod(1).journalReplays();
     out.queueLeft = sim.queue().size();
     out.threadsLeft = fleet.activeThreads();
 
@@ -340,8 +329,9 @@ runOne(std::uint64_t seed, const ChaosParams &p,
             static_cast<unsigned long long>(pvfsState.okOps),
             static_cast<unsigned long long>(pvfsState.errOps)));
 
-    for (const auto &w : pvfsClient.ackedWrites()) {
-        if (!iod0.writeApplied(w.first) && !iod1.writeApplied(w.first)) {
+    for (const auto &w : pvfsClient->ackedWrites()) {
+        if (!fsd.iod(0).writeApplied(w.first) &&
+            !fsd.iod(1).writeApplied(w.first)) {
             ++out.lostWrites;
             if (out.lostWrites <= 3) // cap the report, count the rest
                 fail(sim::strprintf(

@@ -1,12 +1,13 @@
 /**
  * @file
- * Shared harness for the figure-reproduction benchmarks: ttcp-style
- * stream generators/sinks (written against the sock facade),
- * measurement-window utilities, and the common command-line surface
- * (`Options` + `benchMain`) of every bench binary — `--report <file>`
- * (RunReport JSON), `--bench-json <file>`, the TelemetryRun artifacts
- * (`--metrics`, `--trace`, `--sample-interval`, ...), `--transport`
- * where the bench can pin one, plus bench-specific numeric knobs.
+ * Shared harness for the figure-reproduction benchmarks: the
+ * two-node ttcp stream rig (`StreamPair`, written against the sock
+ * facade), measurement-window utilities, and the common command-line
+ * surface (`Options` + `benchMain`) of every bench binary —
+ * `--report <file>` (RunReport JSON), `--bench-json <file>`, the
+ * TelemetryRun artifacts (`--metrics`, `--trace`, `--sample-interval`,
+ * ...), `--transport` where the bench can pin one, plus
+ * bench-specific numeric knobs.
  */
 
 #ifndef IOAT_BENCH_COMMON_HH
@@ -89,12 +90,11 @@ streamSinkLoop(Node &node, std::uint16_t port, SinkOptions opts,
 /** ttcp-style sender: connect once, then send chunks forever. */
 inline Coro<void>
 streamSenderLoop(Node &node, net::NodeId dst, std::uint16_t port,
-                 std::size_t chunk, bool zero_copy = false)
+                 std::size_t chunk)
 {
     sock::Socket conn = co_await node.transport().connect(dst, port);
-    const sock::SendOptions opts{.zeroCopy = zero_copy};
     for (;;)
-        co_await conn.sendAll(chunk, opts);
+        co_await conn.sendAll(chunk, sock::SendOptions{});
 }
 
 /**
@@ -267,11 +267,13 @@ class Options
     /**
      * Parse argv.  @return false when the process should exit
      * immediately (--help, or a bad flag or value); exitCode() says
-     * how.  A numeric value must parse completely and lie in range.
+     * how.  A numeric value must parse completely and lie in range,
+     * and --sample-interval needs a sampler to feed.
      */
     bool
     parse(int argc, char **argv)
     {
+        bool interval = false;
         for (int i = 1; i < argc; ++i) {
             const std::string arg = argv[i];
             if (arg == "--help" || arg == "-h") {
@@ -294,6 +296,7 @@ class Options
             } else if (arg == "--sample-interval") {
                 if (!parseInterval(val, sampleInterval_))
                     return fail(arg + " wants whole microseconds >= 1");
+                interval = true;
             } else if (arg == "--transport" && val != "tcp" &&
                        val != "ioat" && val != "bypass") {
                 return fail("--transport wants tcp, ioat or bypass");
@@ -301,6 +304,9 @@ class Options
                 this->*flag->slot = val;
             }
         }
+        // Only the timeline sampler reads the interval.
+        if (interval && !wantReport() && !wantMetrics())
+            return fail("--sample-interval needs --report or --metrics");
         return true;
     }
 
@@ -634,6 +640,103 @@ class TelemetryRun
     sim::RequestTracer *reqTracer_ = nullptr;
     sim::telemetry::Session session_;
     std::optional<sim::Profiler> profiler_;
+};
+
+/** One ttcp load on a StreamPair. */
+struct StreamLoad
+{
+    /** Senders per direction, one connection each. */
+    unsigned streams = 1;
+    /** Bytes per send, and per receive at the sinks. */
+    std::size_t chunk = 64 * 1024;
+    /** The sinks stream over what they receive (consumer behaviour). */
+    bool touchPayload = false;
+    /** b also runs `streams` senders toward a sink on a. */
+    bool bidirectional = false;
+    Tick warmup = sim::milliseconds(100);
+    Tick window = sim::milliseconds(400);
+};
+
+/** What one StreamPair::run measured over its window. */
+struct StreamResult
+{
+    double mbps;              ///< payload received, both directions
+    double cpu;               ///< node b's utilization, 0..1
+    std::uint64_t interrupts; ///< node b's NIC interrupts
+    std::uint64_t polls;      ///< node b's NIC soft-timer polls
+};
+
+/**
+ * The paper's §4 stream testbed: two Testbed-1 nodes built from one
+ * NodeConfig behind the switch, ttcp senders on `a` streaming to a
+ * sink on `b` (and back, for bi-directional loads).
+ *
+ * Given Options, the rig also opens the run's TelemetryRun; the
+ * caller finishes it with its config echo.  Anything else a caller
+ * attaches (a fault injector on `fabric`, a session component) goes
+ * on before run().
+ */
+class StreamPair
+{
+  public:
+    explicit StreamPair(const NodeConfig &cfg,
+                        const Options *report = nullptr)
+        : fabric(sim, sim::nanoseconds(2000)), a(sim, fabric, cfg),
+          b(sim, fabric, cfg), sinkB_(b.host(), "sinkB")
+    {
+        if (report)
+            telemetry_.emplace(sim, *report);
+    }
+
+    /** The TelemetryRun, when the rig was given Options. */
+    TelemetryRun *telemetry() { return telemetry_ ? &*telemetry_ : nullptr; }
+
+    /** Spawn @p load's sinks and senders, warm up, reset both CPU
+     *  windows, then measure one window.  Once per rig. */
+    StreamResult
+    run(const StreamLoad &load)
+    {
+        const SinkOptions sink{.recvChunk = load.chunk,
+                               .touchPayload = load.touchPayload};
+        sim.spawn(streamSinkLoop(b, kPort, sink, sinkB_));
+        for (unsigned i = 0; i < load.streams; ++i)
+            sim.spawn(streamSenderLoop(a, b.id(), kPort, load.chunk));
+        if (load.bidirectional) {
+            sinkA_.emplace(a.host(), "sinkA");
+            sim.spawn(streamSinkLoop(a, kPort, sink, *sinkA_));
+            for (unsigned i = 0; i < load.streams; ++i)
+                sim.spawn(streamSenderLoop(b, a.id(), kPort, load.chunk));
+        }
+
+        Meter meter(sim);
+        meter.warmup(load.warmup, {&a, &b});
+        const std::uint64_t rx0 = rxPayload();
+        const std::uint64_t irq0 = b.nic().interrupts();
+        const std::uint64_t poll0 = b.nic().softPolls();
+        meter.run(load.window);
+        return {sim::throughputMbps(rxPayload() - rx0, meter.elapsed()),
+                b.cpu().utilization(), b.nic().interrupts() - irq0,
+                b.nic().softPolls() - poll0};
+    }
+
+    Simulation sim;
+    net::Switch fabric;
+    Node a;
+    Node b;
+
+  private:
+    static constexpr std::uint16_t kPort = 5001;
+
+    std::uint64_t
+    rxPayload()
+    {
+        return b.transport().rxPayloadBytes() +
+               a.transport().rxPayloadBytes();
+    }
+
+    core::AppMemory sinkB_;
+    std::optional<core::AppMemory> sinkA_;
+    std::optional<TelemetryRun> telemetry_;
 };
 
 } // namespace ioat::bench

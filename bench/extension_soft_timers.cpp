@@ -11,7 +11,6 @@
  */
 
 #include <iostream>
-#include <optional>
 
 #include "common.hh"
 
@@ -20,52 +19,20 @@ using namespace ioat::bench;
 
 namespace {
 
-struct Result
-{
-    double mbps;
-    double cpu;
-    std::uint64_t interrupts;
-    std::uint64_t polls;
-};
-
-Result
+StreamResult
 run(IoatConfig features, bool soft_timers,
     const Options *report = nullptr)
 {
-    Simulation sim;
-    net::Switch fabric(sim, sim::nanoseconds(2000));
     NodeConfig cfg = NodeConfig::server(features, 4);
     if (soft_timers)
         cfg.nic.pollingPeriod = sim::microseconds(50);
-    Node client(sim, fabric, cfg);
-    Node server(sim, fabric, cfg);
-
-    core::AppMemory mem(server.host(), "sink");
-    std::optional<TelemetryRun> tr;
-    if (report)
-        tr.emplace(sim, *report);
-    sim.spawn(streamSinkLoop(server, 5001,
-                             {.recvChunk = 16384, .touchPayload = true},
-                             mem));
-    for (unsigned i = 0; i < 8; ++i)
-        sim.spawn(streamSenderLoop(client, server.id(), 5001, 16384));
-
-    Meter meter(sim);
-    meter.warmup(sim::milliseconds(100), {&client, &server});
-    const std::uint64_t rx0 = server.stack().rxPayloadBytes();
-    const std::uint64_t irq0 = server.nic().interrupts();
-    const std::uint64_t poll0 = server.nic().softPolls();
-    meter.run(sim::milliseconds(400));
-
-    if (tr)
+    StreamPair rig(cfg, report);
+    const StreamResult r =
+        rig.run({.streams = 8, .chunk = 16384, .touchPayload = true});
+    if (TelemetryRun *tr = rig.telemetry())
         tr->finish({{"softTimers", soft_timers ? "true" : "false"},
                     {"ioat", features.any() ? "true" : "false"}});
-
-    return {sim::throughputMbps(server.stack().rxPayloadBytes() - rx0,
-                                meter.elapsed()),
-            server.cpu().utilization(),
-            server.nic().interrupts() - irq0,
-            server.nic().softPolls() - poll0};
+    return r;
 }
 
 } // namespace
@@ -95,7 +62,7 @@ main(int argc, char **argv)
         {"soft timers, I/OAT", IoatConfig::enabled(), true},
     };
     for (const auto &c : cfgs) {
-        const Result r = run(c.features, c.soft);
+        const StreamResult r = run(c.features, c.soft);
         t.addRow({c.name, num(r.mbps, 0), pct(r.cpu),
                   num(static_cast<double>(r.interrupts) / 0.4, 0),
                   num(static_cast<double>(r.polls) / 0.4, 0)});

@@ -13,7 +13,6 @@
 
 #include <cstdint>
 #include <iostream>
-#include <optional>
 #include <vector>
 
 #include "common.hh"
@@ -41,7 +40,7 @@ lossMix(double loss)
     return cfg;
 }
 
-struct StreamResult
+struct LossyStream
 {
     double mbps;
     std::uint64_t retransmits;
@@ -50,46 +49,32 @@ struct StreamResult
 };
 
 /** Fig. 3-style single-port ttcp stream over a lossy link. */
-StreamResult
+LossyStream
 runStream(IoatConfig features, double loss,
           const Options *report = nullptr,
           TransportChoice choice = TransportChoice::none)
 {
-    Simulation sim;
-    net::Switch fabric(sim, sim::nanoseconds(2000));
     sim::FaultInjector faults(kFaultSeed);
     faults.setDefaultConfig(lossMix(loss));
-    fabric.setFaultInjector(&faults);
 
     NodeConfig nodeCfg = NodeConfig::server(features, 1);
     nodeCfg.tcp.reliable = true;
     applyTransport(nodeCfg, choice);
-    Node a(sim, fabric, nodeCfg);
-    Node b(sim, fabric, nodeCfg);
-
-    core::AppMemory memB(b.host(), "sinkB");
-    std::optional<TelemetryRun> tr;
-    if (report) {
-        tr.emplace(sim, *report);
+    StreamPair rig(nodeCfg, report);
+    rig.fabric.setFaultInjector(&faults);
+    TelemetryRun *tr = rig.telemetry();
+    if (tr)
         tr->session().add("fault", faults);
-    }
-    const std::size_t chunk = 64 * 1024;
-    sim.spawn(streamSinkLoop(b, 5001, {.recvChunk = chunk}, memB));
-    sim.spawn(streamSenderLoop(a, b.id(), 5001, chunk));
-
-    Meter meter(sim);
-    meter.warmup(sim::milliseconds(100), {&a, &b});
-    const std::uint64_t rx0 = b.transport().rxPayloadBytes();
-    meter.run(sim::milliseconds(400));
-    const std::uint64_t rx1 = b.transport().rxPayloadBytes();
+    const StreamResult r = rig.run({});
 
     if (tr)
         tr->finish({{"lossRate", sim::strprintf("%g", loss)},
                     {"faultSeed", std::to_string(kFaultSeed)},
                     {"ioat", features.any() ? "true" : "false"}});
 
-    return {sim::throughputMbps(rx1 - rx0, meter.elapsed()),
-            a.transport().retransmits() + b.transport().retransmits(),
+    return {r.mbps,
+            rig.a.transport().retransmits() +
+                rig.b.transport().retransmits(),
             faults.totalDrops(), faults.totalDups()};
 }
 
@@ -188,7 +173,7 @@ main(int argc, char **argv)
         sim::Table t1({"loss", "Mbps", "retransmits", "link drops",
                        "link dups"});
         for (double loss : kLossRates) {
-            const StreamResult r =
+            const LossyStream r =
                 runStream(IoatConfig::disabled(), loss, nullptr,
                           opts.transportChoice());
             t1.addRow({sim::strprintf("%g", loss), num(r.mbps, 0),
@@ -232,8 +217,8 @@ main(int argc, char **argv)
     sim::Table t1({"loss", "non-ioat Mbps", "ioat Mbps", "retransmits",
                    "link drops", "link dups"});
     for (double loss : kLossRates) {
-        const StreamResult non = runStream(IoatConfig::disabled(), loss);
-        const StreamResult yes = runStream(IoatConfig::enabled(), loss);
+        const LossyStream non = runStream(IoatConfig::disabled(), loss);
+        const LossyStream yes = runStream(IoatConfig::enabled(), loss);
         t1.addRow({sim::strprintf("%g", loss), num(non.mbps, 0),
                    num(yes.mbps, 0), std::to_string(non.retransmits),
                    std::to_string(non.drops), std::to_string(non.dups)});

@@ -11,8 +11,6 @@
 
 #include <chrono>
 #include <iostream>
-#include <optional>
-#include <vector>
 
 #include "common.hh"
 
@@ -21,51 +19,19 @@ using namespace ioat::bench;
 
 namespace {
 
-struct Result
-{
-    double mbps;
-    double cpu; ///< receiver-side utilization 0..1
-};
-
-Result
+StreamResult
 runBandwidth(const Options &o, IoatConfig features, unsigned ports,
              bool bidirectional, bool artifacts = false,
              TransportChoice choice = TransportChoice::none)
 {
     const auto wall0 = std::chrono::steady_clock::now();
-    Simulation sim;
-    net::Switch fabric(sim, sim::nanoseconds(2000));
     NodeConfig cfg = NodeConfig::server(features, ports);
     applyTransport(cfg, choice);
-    Node a(sim, fabric, cfg);
-    Node b(sim, fabric, cfg);
+    StreamPair rig(cfg, artifacts ? &o : nullptr);
+    const StreamResult r =
+        rig.run({.streams = ports, .bidirectional = bidirectional});
 
-    core::AppMemory memA(a.host(), "sinkA");
-    core::AppMemory memB(b.host(), "sinkB");
-
-    std::optional<TelemetryRun> tr;
-    if (artifacts)
-        tr.emplace(sim, o);
-
-    const std::size_t chunk = 64 * 1024;
-    sim.spawn(streamSinkLoop(b, 5001, {.recvChunk = chunk}, memB));
-    for (unsigned i = 0; i < ports; ++i)
-        sim.spawn(streamSenderLoop(a, b.id(), 5001, chunk));
-    if (bidirectional) {
-        sim.spawn(streamSinkLoop(a, 5001, {.recvChunk = chunk}, memA));
-        for (unsigned i = 0; i < ports; ++i)
-            sim.spawn(streamSenderLoop(b, a.id(), 5001, chunk));
-    }
-
-    Meter meter(sim);
-    meter.warmup(sim::milliseconds(100), {&a, &b});
-    const std::uint64_t rx0 = b.transport().rxPayloadBytes() +
-                              a.transport().rxPayloadBytes();
-    meter.run(sim::milliseconds(400));
-    const std::uint64_t rx1 = b.transport().rxPayloadBytes() +
-                              a.transport().rxPayloadBytes();
-
-    if (tr) {
+    if (TelemetryRun *tr = rig.telemetry()) {
         // Simulator throughput for the CI perf gate: the bypass
         // transport must push at least as many events/sec as tcp.
         const auto wall1 = std::chrono::steady_clock::now();
@@ -73,16 +39,14 @@ runBandwidth(const Options &o, IoatConfig features, unsigned ports,
             std::chrono::duration<double>(wall1 - wall0).count();
         const double eps =
             wallSec > 0.0
-                ? static_cast<double>(sim.executedEvents()) / wallSec
+                ? static_cast<double>(rig.sim.executedEvents()) / wallSec
                 : 0.0;
         tr->finish({{"ports", std::to_string(ports)},
                     {"bidirectional", bidirectional ? "true" : "false"},
                     {"ioat", features.any() ? "true" : "false"},
                     {"eventsPerSec", sim::strprintf("%.0f", eps)}});
     }
-
-    return {sim::throughputMbps(rx1 - rx0, meter.elapsed()),
-            b.cpu().utilization()};
+    return r;
 }
 
 /** Single-transport rendering for `--transport <t>`. */
@@ -92,7 +56,7 @@ singleTable(const Options &o, bool bidirectional, const char *title)
     std::cout << title << "\n";
     sim::Table t({"ports", "Mbps", "rx CPU"});
     for (unsigned ports = 1; ports <= 6; ++ports) {
-        const Result r =
+        const StreamResult r =
             runBandwidth(o, IoatConfig::disabled(), ports,
                          bidirectional, false, o.transportChoice());
         t.addRow({std::to_string(ports), num(r.mbps, 0), pct(r.cpu)});
@@ -108,10 +72,10 @@ table(const Options &o, bool bidirectional, const char *title)
     sim::Table t({"ports", "non-ioat Mbps", "ioat Mbps", "non-ioat CPU",
                   "ioat CPU", "rel CPU benefit"});
     for (unsigned ports = 1; ports <= 6; ++ports) {
-        const Result non = runBandwidth(o, IoatConfig::disabled(),
-                                        ports, bidirectional);
-        const Result yes = runBandwidth(o, IoatConfig::enabled(),
-                                        ports, bidirectional);
+        const StreamResult non = runBandwidth(
+            o, IoatConfig::disabled(), ports, bidirectional);
+        const StreamResult yes = runBandwidth(
+            o, IoatConfig::enabled(), ports, bidirectional);
         t.addRow({std::to_string(ports), num(non.mbps, 0),
                   num(yes.mbps, 0), pct(non.cpu), pct(yes.cpu),
                   pct(relativeBenefit(yes.cpu, non.cpu))});

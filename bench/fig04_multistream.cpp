@@ -7,7 +7,6 @@
  */
 
 #include <iostream>
-#include <optional>
 
 #include "common.hh"
 
@@ -16,47 +15,20 @@ using namespace ioat::bench;
 
 namespace {
 
-struct Result
-{
-    double mbps;
-    double cpu;
-};
-
-Result
+StreamResult
 run(IoatConfig features, unsigned threads,
     const Options *report = nullptr,
     TransportChoice choice = TransportChoice::none)
 {
-    Simulation sim;
-    net::Switch fabric(sim, sim::nanoseconds(2000));
     NodeConfig cfg = NodeConfig::server(features, 6);
     applyTransport(cfg, choice);
-    Node client(sim, fabric, cfg);
-    Node server(sim, fabric, cfg);
-
-    core::AppMemory mem(server.host(), "sink");
-    std::optional<TelemetryRun> tr;
-    if (report)
-        tr.emplace(sim, *report);
-    const std::size_t chunk = 64 * 1024;
-    sim.spawn(streamSinkLoop(server, 5001,
-                             {.recvChunk = chunk, .touchPayload = true},
-                             mem));
-    for (unsigned i = 0; i < threads; ++i)
-        sim.spawn(streamSenderLoop(client, server.id(), 5001, chunk));
-
-    Meter meter(sim);
-    meter.warmup(sim::milliseconds(100), {&client, &server});
-    const std::uint64_t rx0 = server.transport().rxPayloadBytes();
-    meter.run(sim::milliseconds(400));
-    const std::uint64_t rx1 = server.transport().rxPayloadBytes();
-
-    if (tr)
+    StreamPair rig(cfg, report);
+    const StreamResult r =
+        rig.run({.streams = threads, .touchPayload = true});
+    if (TelemetryRun *tr = rig.telemetry())
         tr->finish({{"threads", std::to_string(threads)},
                     {"ioat", features.any() ? "true" : "false"}});
-
-    return {sim::throughputMbps(rx1 - rx0, meter.elapsed()),
-            server.cpu().utilization()};
+    return r;
 }
 
 } // namespace
@@ -71,8 +43,8 @@ main(int argc, char **argv)
                       << " transport) ===\n\n";
             sim::Table t({"threads", "Mbps", "rx CPU"});
             for (unsigned threads : {2u, 4u, 6u, 8u, 10u, 12u}) {
-                const Result r = run(IoatConfig::disabled(), threads,
-                                     nullptr, o.transportChoice());
+                const StreamResult r = run(IoatConfig::disabled(), threads,
+                                           nullptr, o.transportChoice());
                 t.addRow({std::to_string(threads), num(r.mbps, 0),
                           pct(r.cpu)});
             }
@@ -87,8 +59,8 @@ main(int argc, char **argv)
         sim::Table t({"threads", "non-ioat Mbps", "ioat Mbps",
                       "non-ioat CPU", "ioat CPU", "rel CPU benefit"});
         for (unsigned threads : {2u, 4u, 6u, 8u, 10u, 12u}) {
-            const Result non = run(IoatConfig::disabled(), threads);
-            const Result yes = run(IoatConfig::enabled(), threads);
+            const StreamResult non = run(IoatConfig::disabled(), threads);
+            const StreamResult yes = run(IoatConfig::enabled(), threads);
             t.addRow({std::to_string(threads), num(non.mbps, 0),
                       num(yes.mbps, 0), pct(non.cpu), pct(yes.cpu),
                       pct(relativeBenefit(yes.cpu, non.cpu))});

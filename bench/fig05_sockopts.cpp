@@ -14,7 +14,6 @@
  */
 
 #include <iostream>
-#include <optional>
 
 #include "common.hh"
 
@@ -22,12 +21,6 @@ using namespace ioat;
 using namespace ioat::bench;
 
 namespace {
-
-struct Result
-{
-    double mbps;
-    double cpu;
-};
 
 NodeConfig
 caseConfig(IoatConfig features, int case_id)
@@ -45,48 +38,21 @@ caseConfig(IoatConfig features, int case_id)
     return cfg;
 }
 
-Result
+StreamResult
 run(IoatConfig features, int case_id, bool bidirectional,
     const Options *report = nullptr,
     TransportChoice choice = TransportChoice::none)
 {
-    Simulation sim;
-    net::Switch fabric(sim, sim::nanoseconds(2000));
     NodeConfig cfg = caseConfig(features, case_id);
     applyTransport(cfg, choice);
-    Node a(sim, fabric, cfg);
-    Node b(sim, fabric, cfg);
-
-    core::AppMemory memA(a.host(), "sinkA");
-    core::AppMemory memB(b.host(), "sinkB");
-    std::optional<TelemetryRun> tr;
-    if (report)
-        tr.emplace(sim, *report);
-    const std::size_t chunk = 64 * 1024;
-    sim.spawn(streamSinkLoop(b, 5001, {.recvChunk = chunk}, memB));
-    for (unsigned i = 0; i < 6; ++i)
-        sim.spawn(streamSenderLoop(a, b.id(), 5001, chunk));
-    if (bidirectional) {
-        sim.spawn(streamSinkLoop(a, 5001, {.recvChunk = chunk}, memA));
-        for (unsigned i = 0; i < 6; ++i)
-            sim.spawn(streamSenderLoop(b, a.id(), 5001, chunk));
-    }
-
-    Meter meter(sim);
-    meter.warmup(sim::milliseconds(100), {&a, &b});
-    const std::uint64_t rx0 =
-        b.transport().rxPayloadBytes() + a.transport().rxPayloadBytes();
-    meter.run(sim::milliseconds(400));
-    const std::uint64_t rx1 =
-        b.transport().rxPayloadBytes() + a.transport().rxPayloadBytes();
-
-    if (tr)
+    StreamPair rig(cfg, report);
+    const StreamResult r =
+        rig.run({.streams = 6, .bidirectional = bidirectional});
+    if (TelemetryRun *tr = rig.telemetry())
         tr->finish({{"case", std::to_string(case_id)},
                     {"bidirectional", bidirectional ? "true" : "false"},
                     {"ioat", features.any() ? "true" : "false"}});
-
-    return {sim::throughputMbps(rx1 - rx0, meter.elapsed()),
-            b.cpu().utilization()};
+    return r;
 }
 
 void
@@ -100,8 +66,10 @@ table(bool bidirectional, const char *title)
         "+intr coalescing",
     };
     for (int c = 1; c <= 5; ++c) {
-        const Result non = run(IoatConfig::disabled(), c, bidirectional);
-        const Result yes = run(IoatConfig::enabled(), c, bidirectional);
+        const StreamResult non =
+            run(IoatConfig::disabled(), c, bidirectional);
+        const StreamResult yes =
+            run(IoatConfig::enabled(), c, bidirectional);
         t.addRow({"Case " + std::to_string(c), labels[c - 1],
                   num(non.mbps, 0), num(yes.mbps, 0), pct(non.cpu),
                   pct(yes.cpu), pct(relativeBenefit(yes.cpu, non.cpu))});
@@ -126,8 +94,9 @@ main(int argc, char **argv)
             };
             sim::Table t({"case", "optimizations", "Mbps", "rx CPU"});
             for (int c = 1; c <= 5; ++c) {
-                const Result r = run(IoatConfig::disabled(), c, false,
-                                     nullptr, o.transportChoice());
+                const StreamResult r =
+                    run(IoatConfig::disabled(), c, false, nullptr,
+                        o.transportChoice());
                 t.addRow({"Case " + std::to_string(c), labels[c - 1],
                           num(r.mbps, 0), pct(r.cpu)});
             }

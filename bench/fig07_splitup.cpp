@@ -14,7 +14,6 @@
  */
 
 #include <iostream>
-#include <optional>
 
 #include "common.hh"
 
@@ -23,48 +22,25 @@ using namespace ioat::bench;
 
 namespace {
 
-struct Result
-{
-    double mbps;
-    double cpu;
-};
-
-Result
+StreamResult
 run(IoatConfig features, std::size_t msg_bytes,
     const Options *report = nullptr,
     TransportChoice choice = TransportChoice::none)
 {
-    Simulation sim;
-    net::Switch fabric(sim, sim::nanoseconds(2000));
     NodeConfig cfg = NodeConfig::server(features, 4);
     applyTransport(cfg, choice);
-    Node client(sim, fabric, cfg);
-    Node server(sim, fabric, cfg);
-
+    StreamPair rig(cfg, report);
     // The four server threads consume whole messages and stream over
     // them once (this working set is what overflows the L2 at 1M+).
-    core::AppMemory mem(server.host(), "sink");
-    std::optional<TelemetryRun> tr;
-    if (report)
-        tr.emplace(sim, *report);
-    sim.spawn(streamSinkLoop(server, 5001,
-                             {.recvChunk = msg_bytes, .touchPayload = true},
-                             mem));
-    for (unsigned i = 0; i < 4; ++i)
-        sim.spawn(streamSenderLoop(client, server.id(), 5001, msg_bytes));
-
-    Meter meter(sim);
-    meter.warmup(sim::milliseconds(150), {&client, &server});
-    const std::uint64_t rx0 = server.transport().rxPayloadBytes();
-    meter.run(sim::milliseconds(500));
-    const std::uint64_t rx1 = server.transport().rxPayloadBytes();
-
-    if (tr)
+    const StreamResult r = rig.run({.streams = 4,
+                                    .chunk = msg_bytes,
+                                    .touchPayload = true,
+                                    .warmup = sim::milliseconds(150),
+                                    .window = sim::milliseconds(500)});
+    if (TelemetryRun *tr = rig.telemetry())
         tr->finish({{"msgBytes", std::to_string(msg_bytes)},
                     {"ioat", features.any() ? "true" : "false"}});
-
-    return {sim::throughputMbps(rx1 - rx0, meter.elapsed()),
-            server.cpu().utilization()};
+    return r;
 }
 
 std::string
@@ -90,8 +66,8 @@ main(int argc, char **argv)
         for (std::size_t sz :
              {std::size_t{16} << 10, std::size_t{64} << 10,
               std::size_t{1} << 20, std::size_t{4} << 20}) {
-            const Result r = run(IoatConfig::disabled(), sz, nullptr,
-                                 opts.transportChoice());
+            const StreamResult r = run(IoatConfig::disabled(), sz, nullptr,
+                                       opts.transportChoice());
             t.addRow({sizeLabel(sz), num(r.mbps, 0), pct(r.cpu)});
         }
         t.print(std::cout);
@@ -111,9 +87,9 @@ main(int argc, char **argv)
     for (std::size_t sz :
          {std::size_t{16} << 10, std::size_t{32} << 10,
           std::size_t{64} << 10, std::size_t{128} << 10}) {
-        const Result non = run(IoatConfig::disabled(), sz);
-        const Result dma = run(IoatConfig::dmaOnly(), sz);
-        const Result split = run(IoatConfig::enabled(), sz);
+        const StreamResult non = run(IoatConfig::disabled(), sz);
+        const StreamResult dma = run(IoatConfig::dmaOnly(), sz);
+        const StreamResult split = run(IoatConfig::enabled(), sz);
         ta.addRow({sizeLabel(sz), num(non.mbps, 0), num(split.mbps, 0),
                    pct(non.cpu), pct(dma.cpu), pct(split.cpu),
                    pct(relativeBenefit(dma.cpu, non.cpu)),
@@ -128,9 +104,9 @@ main(int argc, char **argv)
     for (std::size_t sz :
          {std::size_t{1} << 20, std::size_t{2} << 20,
           std::size_t{4} << 20, std::size_t{8} << 20}) {
-        const Result non = run(IoatConfig::disabled(), sz);
-        const Result dma = run(IoatConfig::dmaOnly(), sz);
-        const Result split = run(IoatConfig::enabled(), sz);
+        const StreamResult non = run(IoatConfig::disabled(), sz);
+        const StreamResult dma = run(IoatConfig::dmaOnly(), sz);
+        const StreamResult split = run(IoatConfig::enabled(), sz);
         const double benefit =
             dma.mbps > 0 ? (split.mbps - dma.mbps) / dma.mbps : 0.0;
         tb.addRow({sizeLabel(sz), num(non.mbps, 0), num(dma.mbps, 0),

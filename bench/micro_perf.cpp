@@ -214,7 +214,7 @@ BENCHMARK(BM_TcpStream2Node)->Unit(benchmark::kMillisecond);
 void
 BM_TcpStreamCluster(benchmark::State &state)
 {
-    // 16 sender nodes x 4 flows: the scale_cluster regime.
+    // 16 sender nodes x 4 flows into one sink node.
     std::uint64_t events = 0;
     for (auto _ : state)
         events += runStreamWorkload(16, 4, sim::milliseconds(50));

@@ -10,8 +10,7 @@
 #include <vector>
 
 #include "core/testbed.hh"
-#include "pvfs/client.hh"
-#include "pvfs/server.hh"
+#include "pvfs/deployment.hh"
 #include "simcore/simcore.hh"
 
 using namespace ioat;
@@ -53,26 +52,13 @@ runOnce(bool use_ioat)
         use_ioat ? IoatConfig::enabled() : IoatConfig::disabled());
     core::Testbed tb(sim, tb_cfg);
 
-    pvfs::PvfsConfig cfg;
-    pvfs::FsState fs;
-    pvfs::MetadataManager mgr(tb.server(0), cfg, fs);
-    mgr.start();
-
-    std::vector<std::unique_ptr<pvfs::IodServer>> iods;
-    std::vector<pvfs::DaemonAddr> addrs;
-    for (unsigned i = 0; i < 6; ++i) {
-        iods.push_back(
-            std::make_unique<pvfs::IodServer>(tb.server(0), cfg, i));
-        iods.back()->start();
-        addrs.push_back({tb.server(0).id(), iods.back()->port()});
-    }
+    // The manager and the default six I/O daemons share server 0.
+    pvfs::Deployment fsd(pvfs::PvfsConfig{}, tb.server(0));
 
     std::vector<std::unique_ptr<pvfs::PvfsClient>> clients;
     std::vector<double> mbps(3, 0.0);
     for (int c = 0; c < 3; ++c) {
-        clients.push_back(std::make_unique<pvfs::PvfsClient>(
-            tb.server(1), cfg,
-            pvfs::DaemonAddr{tb.server(0).id(), cfg.mgrPort}, addrs));
+        clients.push_back(fsd.makeClient(tb.server(1)));
         sim.spawn(computeProcess(*clients.back(), c, mbps[c], sim));
     }
     sim.run();
@@ -83,8 +69,8 @@ runOnce(bool use_ioat)
     std::printf("  %-8s  aggregate read %6.0f MB/s   manager ops %llu"
                 "   iod0 read %llu MB\n",
                 use_ioat ? "I/OAT" : "non-I/OAT", total,
-                static_cast<unsigned long long>(mgr.opsServed()),
-                static_cast<unsigned long long>(iods[0]->bytesRead() >>
+                static_cast<unsigned long long>(fsd.manager().opsServed()),
+                static_cast<unsigned long long>(fsd.iod(0).bytesRead() >>
                                                 20));
 }
 

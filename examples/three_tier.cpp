@@ -5,7 +5,7 @@
  * workload, with per-node statistics snapshots and a chrome-trace
  * dump of the application tier.
  *
- * Demonstrates the extension surfaces: dynamic tiers, trace-driven
+ * Demonstrates the extension surfaces: dynamic tiers, mixed-size
  * workloads, NodeSnapshot reporting and TraceWriter export.
  */
 

@@ -1,25 +1,17 @@
 /**
  * @file
- * Trace-driven and mixed-size workloads.
+ * Mixed-size workload.
  *
  * The paper's evaluation uses synthetic single-file and Zipf traces;
- * real deployments replay recorded traces and serve wildly mixed
- * object sizes.  This header adds both:
- *
- *  - MixedSizeZipfWorkload: Zipf popularity over a population whose
- *    per-file sizes follow a SPECweb-like class mix (many small
- *    pages, some images, few downloads), deterministic per file id;
- *  - RecordedWorkload: replays "fileId bytes" lines from a trace
- *    stream, wrapping around at the end;
- *  - recordTrace(): samples any workload into that format, so
- *    experiments can be frozen and replayed bit-identically.
+ * real deployments serve wildly mixed object sizes.
+ * MixedSizeZipfWorkload is Zipf popularity over a population whose
+ * per-file sizes follow a SPECweb-like class mix (many small pages,
+ * some images, few downloads), deterministic per file id.
  */
 
 #ifndef IOAT_DATACENTER_TRACE_WORKLOAD_HH
 #define IOAT_DATACENTER_TRACE_WORKLOAD_HH
 
-#include <istream>
-#include <ostream>
 #include <vector>
 
 #include "datacenter/workload.hh"
@@ -113,65 +105,6 @@ class MixedSizeZipfWorkload final : public Workload
     sim::ZipfDistribution zipf_;
     std::vector<std::size_t> sizes_;
 };
-
-/**
- * Replays a recorded request trace ("fileId bytes" per line).
- */
-class RecordedWorkload final : public Workload
-{
-  public:
-    explicit RecordedWorkload(std::istream &in)
-    {
-        std::uint64_t id = 0;
-        std::size_t bytes = 0;
-        while (in >> id >> bytes) {
-            requests_.push_back(Request{id, bytes});
-            maxId_ = std::max(maxId_, id);
-            if (id >= sizes_.size())
-                sizes_.resize(id + 1, 0);
-            sizes_[id] = bytes;
-        }
-        sim::simAssert(!requests_.empty(), "empty request trace");
-    }
-
-    /** Requests replay in recorded order, wrapping at the end. */
-    Request
-    next(sim::Rng &) override
-    {
-        const Request r = requests_[cursor_];
-        cursor_ = (cursor_ + 1) % requests_.size();
-        return r;
-    }
-
-    std::uint64_t fileCount() const override { return maxId_ + 1; }
-
-    std::size_t
-    fileSize(std::uint64_t id) const override
-    {
-        sim::simAssert(id < sizes_.size(), "file id out of range");
-        return sizes_[id];
-    }
-
-    std::size_t requestCount() const { return requests_.size(); }
-
-  private:
-    std::vector<Request> requests_;
-    std::vector<std::size_t> sizes_;
-    std::uint64_t maxId_ = 0;
-    std::size_t cursor_ = 0;
-};
-
-/** Sample @p n requests from a workload into the trace format. */
-inline void
-recordTrace(Workload &workload, std::size_t n, std::uint64_t seed,
-            std::ostream &out)
-{
-    sim::Rng rng(seed);
-    for (std::size_t i = 0; i < n; ++i) {
-        const Request r = workload.next(rng);
-        out << r.fileId << ' ' << r.bytes << '\n';
-    }
-}
 
 } // namespace ioat::dc
 

@@ -1,17 +1,19 @@
 /**
  * @file
- * PVFS deployment helper: place a manager and N I/O daemons across a
- * set of nodes and hand clients ready-made addresses.
+ * PVFS deployment: the one place a metadata manager and its I/O
+ * daemons are built.  It places and starts them, then hands clients
+ * ready-made addresses and pre-sized files.
  *
  * The paper ran everything on one server node (Testbed 1 had two
  * machines); real PVFS installations spread iods across many nodes.
- * This helper supports both: pass one node, or a whole rack.
+ * This builder supports both: pass one node, or a whole rack.
  */
 
 #ifndef IOAT_PVFS_DEPLOYMENT_HH
 #define IOAT_PVFS_DEPLOYMENT_HH
 
 #include <memory>
+#include <string>
 #include <vector>
 
 #include "core/node.hh"
@@ -22,7 +24,8 @@
 namespace ioat::pvfs {
 
 /**
- * Owns the daemons of one PVFS file system.
+ * Owns the daemons of one PVFS file system.  They start serving on
+ * construction, the manager first, then the iods in index order.
  */
 class Deployment
 {
@@ -47,16 +50,15 @@ class Deployment
                 std::make_unique<IodServer>(node, cfg_, i));
             addrs_.push_back({node.id(), iods_.back()->port()});
         }
-    }
-
-    /** Start the manager and every iod. */
-    void
-    start()
-    {
         mgr_->start();
         for (auto &iod : iods_)
             iod->start();
     }
+
+    /** The paper's layout: the manager and every iod on @p node. */
+    Deployment(const PvfsConfig &cfg, core::Node &node)
+        : Deployment(cfg, node, {&node})
+    {}
 
     const PvfsConfig &config() const { return cfg_; }
     FsState &fs() { return fs_; }

@@ -11,8 +11,6 @@
 #include "simcore/coro.hh"
 #include "simcore/event_queue.hh"
 #include "simcore/fault.hh"
-#include "simcore/log.hh"
-#include "simcore/mutex.hh"
 #include "simcore/random.hh"
 #include "simcore/sim.hh"
 #include "simcore/stats.hh"

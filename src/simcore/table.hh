@@ -34,19 +34,6 @@ strprintf(const char *fmt, ...)
     return buf;
 }
 
-/** Format helpers used across benches. */
-inline std::string
-fmtDouble(double v, int precision = 1)
-{
-    return strprintf("%.*f", precision, v);
-}
-
-inline std::string
-fmtPercent(double fraction, int precision = 1)
-{
-    return strprintf("%.*f%%", precision, fraction * 100.0);
-}
-
 /**
  * A fixed-column table that sizes columns from contents.
  */

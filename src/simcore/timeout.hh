@@ -1,12 +1,12 @@
 /**
  * @file
- * Timeout and timing combinators for simulated tasks.
+ * Timeout combinators for simulated tasks.
  *
- * `withTimeout` races a coroutine against a deadline without
- * cancelling it (the body keeps running; the caller just stops
- * waiting) — the right semantics for timing out waits on shared
- * state.  `Stopwatch` measures simulated elapsed time, and
- * `everyUntil` drives fixed-rate periodic work.
+ * `waitWithTimeout` races an Event against a deadline without
+ * cancelling the work behind it (the peer keeps running; the caller
+ * just stops waiting) — the right semantics for timing out waits on
+ * shared state.  `Watchdog` is the re-armable deadline for
+ * non-coroutine code, and `CappedBackoff` spaces out the retries.
  *
  * NO-CANCELLATION CONTRACT.  Timing out a wait here never cancels the
  * work being waited on: the peer may still be executing the request
@@ -24,7 +24,6 @@
 #define IOAT_SIMCORE_TIMEOUT_HH
 
 #include <algorithm>
-#include <functional>
 #include <memory>
 #include <optional>
 
@@ -165,36 +164,6 @@ class CappedBackoff
     Tick cap_;
     Tick cur_;
 };
-
-/** Measures simulated elapsed time. */
-class Stopwatch
-{
-  public:
-    explicit Stopwatch(Simulation &sim) : sim_(sim), start_(sim.now()) {}
-
-    void restart() { start_ = sim_.now(); }
-    Tick elapsed() const { return sim_.now() - start_; }
-    double elapsedUs() const { return toMicroseconds(elapsed()); }
-
-  private:
-    Simulation &sim_;
-    Tick start_;
-};
-
-/**
- * Run @p body every @p period until @p until (inclusive of the last
- * tick at or before it).  Spawn the returned coroutine.
- */
-inline Coro<void>
-everyUntil(Simulation &sim, Tick period, Tick until,
-           std::function<void()> body)
-{
-    simAssert(period > Tick{0}, "everyUntil needs a positive period");
-    while (sim.now() + period <= until) {
-        co_await sim.delay(period);
-        body();
-    }
-}
 
 } // namespace ioat::sim
 

@@ -21,8 +21,7 @@
 #include "datacenter/proxy.hh"
 #include "datacenter/web_server.hh"
 #include "datacenter/workload.hh"
-#include "pvfs/client.hh"
-#include "pvfs/server.hh"
+#include "pvfs/deployment.hh"
 #include "simcore/lifecycle.hh"
 #include "simcore/simcore.hh"
 #include "simcore/telemetry.hh"
@@ -255,19 +254,11 @@ runPvfsChaos(bool journaled)
     pcfg.trackDurability = true;
     pcfg.journaledWrites = journaled;
 
-    pvfs::FsState fs;
-    pvfs::MetadataManager mgr(mgrNode, pcfg, fs);
-    mgr.start();
-    pvfs::IodServer iod0(iod0Node, pcfg, 0);
-    pvfs::IodServer iod1(iod1Node, pcfg, 1);
-    iod0.start();
-    iod1.start();
-    const pvfs::FileHandle fh = fs.create("chaos");
-    fs.extendTo(fh, 8 * 1024 * 1024);
-    pvfs::PvfsClient client(
-        clientNode, pcfg, pvfs::DaemonAddr{mgrNode.id(), pcfg.mgrPort},
-        {pvfs::DaemonAddr{iod0Node.id(), iod0.port()},
-         pvfs::DaemonAddr{iod1Node.id(), iod1.port()}});
+    pvfs::Deployment fsd(pcfg, mgrNode, {&iod0Node, &iod1Node});
+    pvfs::IodServer &iod0 = fsd.iod(0);
+    pvfs::IodServer &iod1 = fsd.iod(1);
+    const pvfs::FileHandle fh = fsd.presizeFile("chaos", 8 * 1024 * 1024);
+    const auto client = fsd.makeClient(clientNode);
 
     struct Driver
     {
@@ -292,7 +283,7 @@ runPvfsChaos(bool journaled)
             off += 128 * 1024;
         }
         d.done = true;
-    }(client, fh, st));
+    }(*client, fh, st));
 
     faults.addOutage(iod0Node.id(), sim::milliseconds(10),
                      sim::milliseconds(25));
@@ -306,8 +297,8 @@ runPvfsChaos(bool journaled)
     drain(sim);
 
     PvfsChaosOutcome out;
-    out.acked = client.ackedWrites().size();
-    for (const auto &w : client.ackedWrites())
+    out.acked = client->ackedWrites().size();
+    for (const auto &w : client->ackedWrites())
         if (!iod0.writeApplied(w.first) && !iod1.writeApplied(w.first))
             ++out.lost;
     out.replays = iod0.journalReplays();

@@ -21,8 +21,7 @@
 #include "datacenter/web_server.hh"
 #include "datacenter/workload.hh"
 #include "dma/dma_engine.hh"
-#include "pvfs/client.hh"
-#include "pvfs/server.hh"
+#include "pvfs/deployment.hh"
 #include "simcore/simcore.hh"
 
 namespace {
@@ -478,34 +477,20 @@ equivPvfsBytes(bool ioat)
     tbCfg.serverConfig.tcp.sockBuf = 64 * 1024;
     core::Testbed tb(sim, tbCfg);
 
-    pvfs::PvfsConfig cfg;
-    cfg.iodCount = 3;
-    pvfs::FsState fs;
-    pvfs::MetadataManager mgr(tb.server(0), cfg, fs);
-    mgr.start();
-    std::vector<std::unique_ptr<pvfs::IodServer>> iods;
-    std::vector<pvfs::DaemonAddr> addrs;
-    for (unsigned i = 0; i < cfg.iodCount; ++i) {
-        iods.push_back(
-            std::make_unique<pvfs::IodServer>(tb.server(0), cfg, i));
-        iods.back()->start();
-        addrs.push_back({tb.server(0).id(), iods.back()->port()});
-    }
-    const pvfs::FileHandle h = fs.create("f0");
-    const std::size_t region = 2ull * 1024 * 1024 * cfg.iodCount;
-    fs.extendTo(h, region);
+    pvfs::Deployment fsd(pvfs::PvfsConfig{.iodCount = 3}, tb.server(0));
+    const std::size_t region = 2ull * 1024 * 1024 * fsd.iodCount();
+    const pvfs::FileHandle h = fsd.presizeFile("f0", region);
 
-    pvfs::PvfsClient client(tb.server(1), cfg,
-                            {tb.server(0).id(), cfg.mgrPort}, addrs);
+    const auto client = fsd.makeClient(tb.server(1));
     sim.spawn([](pvfs::PvfsClient &cl, pvfs::FileHandle fh,
                  std::size_t bytes) -> Coro<void> {
         co_await cl.connect();
         for (;;)
             co_await cl.read(fh, 0, bytes);
-    }(client, h, region));
+    }(*client, h, region));
 
     sim.runFor(sim::milliseconds(400));
-    return client.bytesRead();
+    return client->bytesRead();
 }
 
 // Golden byte counts captured from the seed tree (fault framework not
@@ -561,20 +546,9 @@ TEST(PvfsFaults, ServerCrashYieldsTypedErrorsThenRecovers)
     cfg.rpcRetryBackoff = sim::milliseconds(1);
     cfg.connectTimeout = sim::milliseconds(5);
 
-    pvfs::FsState fs;
-    pvfs::MetadataManager mgr(tb.server(0), cfg, fs);
-    mgr.start();
-    std::vector<std::unique_ptr<pvfs::IodServer>> iods;
-    std::vector<pvfs::DaemonAddr> addrs;
-    for (unsigned i = 0; i < cfg.iodCount; ++i) {
-        iods.push_back(
-            std::make_unique<pvfs::IodServer>(tb.server(0), cfg, i));
-        iods.back()->start();
-        addrs.push_back({tb.server(0).id(), iods.back()->port()});
-    }
-    const pvfs::FileHandle h = fs.create("f0");
+    pvfs::Deployment fsd(cfg, tb.server(0));
     const std::size_t region = 4ull * 64 * 1024; // two chunks per iod
-    fs.extendTo(h, region);
+    const pvfs::FileHandle h = fsd.presizeFile("f0", region);
 
     // The whole PVFS deployment (manager + iods) lives on server 0,
     // which drops off the network over [20 ms, 120 ms).
@@ -591,8 +565,7 @@ TEST(PvfsFaults, ServerCrashYieldsTypedErrorsThenRecovers)
         bool done = false;
     } probe;
 
-    pvfs::PvfsClient client(tb.server(1), cfg,
-                            {tb.server(0).id(), cfg.mgrPort}, addrs);
+    const auto client = fsd.makeClient(tb.server(1));
     sim.spawn([](Simulation &s, pvfs::PvfsClient &cl,
                  pvfs::FileHandle fh, std::size_t bytes,
                  Probe &p) -> Coro<void> {
@@ -607,7 +580,7 @@ TEST(PvfsFaults, ServerCrashYieldsTypedErrorsThenRecovers)
         p.afterErr = r3.err;
         p.afterBytes = r3.value;
         p.done = true;
-    }(sim, client, h, region, probe));
+    }(sim, *client, h, region, probe));
 
     sim.runFor(sim::milliseconds(300));
 
@@ -619,8 +592,8 @@ TEST(PvfsFaults, ServerCrashYieldsTypedErrorsThenRecovers)
     // After the restart the client reconnects and reads succeed.
     EXPECT_EQ(probe.afterErr, pvfs::PvfsErrc::Ok);
     EXPECT_EQ(probe.afterBytes, region);
-    EXPECT_GT(client.rpcRetries(), 0u);
-    EXPECT_GT(client.reconnects(), 0u);
+    EXPECT_GT(client->rpcRetries(), 0u);
+    EXPECT_GT(client->reconnects(), 0u);
     EXPECT_GT(faults.outageDrops(), 0u);
 }
 
@@ -894,13 +867,8 @@ TEST(TimerTicks, PvfsWatchdogFiresAtExactTick)
     cfg.rpcRetryBackoff = sim::milliseconds(1);
     cfg.connectTimeout = sim::milliseconds(5);
 
-    pvfs::FsState fs;
-    pvfs::MetadataManager mgr(tb.server(0), cfg, fs);
-    mgr.start();
-    pvfs::IodServer iod(tb.server(0), cfg, 0);
-    iod.start();
-    const pvfs::FileHandle h = fs.create("f0");
-    fs.extendTo(h, 64 * 1024);
+    pvfs::Deployment fsd(cfg, tb.server(0));
+    const pvfs::FileHandle h = fsd.presizeFile("f0", 64 * 1024);
 
     // Server 0 drops off the network at 10 ms; the client connects
     // and warms up before that, then issues a read at exactly 15 ms.
@@ -909,9 +877,7 @@ TEST(TimerTicks, PvfsWatchdogFiresAtExactTick)
     faults.addOutage(tb.server(0).id(), sim::milliseconds(10),
                      sim::milliseconds(200));
 
-    pvfs::PvfsClient client(tb.server(1), cfg,
-                            {tb.server(0).id(), cfg.mgrPort},
-                            {{tb.server(0).id(), iod.port()}});
+    const auto client = fsd.makeClient(tb.server(1));
     bool done = false;
     sim.spawn([](Simulation &s, pvfs::PvfsClient &cl,
                  pvfs::FileHandle fh, bool &d) -> Coro<void> {
@@ -920,7 +886,7 @@ TEST(TimerTicks, PvfsWatchdogFiresAtExactTick)
         const auto r = co_await cl.read(fh, 0, 64 * 1024);
         (void)r;
         d = true;
-    }(sim, client, h, done));
+    }(sim, *client, h, done));
 
     sim.runUntil(sim::milliseconds(15));
     auto aborts = [&tb] {

@@ -389,6 +389,9 @@ TEST(Profile, BenchOptionsRejectMalformedNumbers)
         {"--sample-interval", "100us"},
         {"--sample-interval", "-5"},
         {"--sample-interval", "99999999999999999999"},
+        // Well-formed, but nothing samples without --report or
+        // --metrics.
+        {"--sample-interval", "50"},
         {"--max-clients", "foo"},
         {"--max-clients", ""},
         {"--max-clients", "-8"},
@@ -418,8 +421,8 @@ TEST(Profile, BenchOptionsRejectMalformedNumbers)
     bench::Options opts("test_profile");
     double knob = 64;
     opts.knob("max-clients", &knob, "sweep bound");
-    EXPECT_EQ(parseExit(opts, {"--sample-interval", "250",
-                               "--max-clients", "16.5"}),
+    EXPECT_EQ(parseExit(opts, {"--sample-interval", "250", "--metrics",
+                               "tp_m.txt", "--max-clients", "16.5"}),
               -1);
     EXPECT_EQ(opts.sampleInterval(), sim::microseconds(250));
     EXPECT_EQ(knob, 16.5);

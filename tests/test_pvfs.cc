@@ -7,10 +7,9 @@
 #include <gtest/gtest.h>
 
 #include "core/testbed.hh"
-#include "pvfs/client.hh"
+#include "pvfs/deployment.hh"
 #include "pvfs/fs_state.hh"
 #include "pvfs/layout.hh"
-#include "pvfs/server.hh"
 #include "simcore/simcore.hh"
 
 namespace {
@@ -132,51 +131,37 @@ TEST(FsState, ExtendOnlyGrows)
 // End-to-end PVFS
 // --------------------------------------------------------------------
 
-struct PvfsRig
+/** Two Testbed-1 nodes: server 0 hosts the file system, server 1
+ *  the compute processes. */
+struct TwoNodes
 {
     Simulation sim;
     core::Testbed tb;
-    pvfs::PvfsConfig cfg;
-    pvfs::FsState fs;
-    pvfs::MetadataManager mgr;
-    std::vector<std::unique_ptr<pvfs::IodServer>> iods;
+    pvfs::Deployment fsd;
 
-    explicit PvfsRig(IoatConfig features = IoatConfig::disabled(),
-                     unsigned iod_count = 6)
+    explicit TwoNodes(IoatConfig features = IoatConfig::disabled(),
+                      unsigned iod_count = 6)
         : tb(sim,
              core::TestbedConfig{
                  .serverCount = 2,
                  .serverConfig = core::NodeConfig::server(features),
              }),
-          mgr(tb.server(0), cfg, fs)
-    {
-        cfg.iodCount = iod_count;
-        mgr.start();
-        for (unsigned i = 0; i < iod_count; ++i) {
-            iods.push_back(std::make_unique<pvfs::IodServer>(
-                tb.server(0), cfg, i));
-            iods.back()->start();
-        }
-    }
+          fsd(pvfs::PvfsConfig{.iodCount = iod_count}, tb.server(0))
+    {}
 
-    std::vector<pvfs::DaemonAddr>
-    iodAddrs()
+    std::unique_ptr<pvfs::PvfsClient>
+    client()
     {
-        std::vector<pvfs::DaemonAddr> out;
-        for (const auto &iod : iods)
-            out.push_back({tb.server(0).id(), iod->port()});
-        return out;
+        return fsd.makeClient(tb.server(1));
     }
 };
 
 TEST(Pvfs, MetadataOpsWork)
 {
-    PvfsRig rig;
-    pvfs::PvfsClient client(rig.tb.server(1), rig.cfg,
-                            {rig.tb.server(0).id(), rig.cfg.mgrPort},
-                            rig.iodAddrs());
+    TwoNodes net;
+    const auto client = net.client();
     bool done = false;
-    rig.sim.spawn([](pvfs::PvfsClient &c, bool &f) -> Coro<void> {
+    net.sim.spawn([](pvfs::PvfsClient &c, bool &f) -> Coro<void> {
         co_await c.connect();
         auto h = co_await c.create(7);
         EXPECT_NE(h, pvfs::kInvalidHandle);
@@ -187,20 +172,18 @@ TEST(Pvfs, MetadataOpsWork)
         auto sz = co_await c.fileSize(h);
         EXPECT_EQ(sz, 0u);
         f = true;
-    }(client, done));
-    rig.sim.run();
+    }(*client, done));
+    net.sim.run();
     EXPECT_TRUE(done);
 }
 
 TEST(Pvfs, WriteExtendsFileAndHitsAllIods)
 {
-    PvfsRig rig;
-    pvfs::PvfsClient client(rig.tb.server(1), rig.cfg,
-                            {rig.tb.server(0).id(), rig.cfg.mgrPort},
-                            rig.iodAddrs());
+    TwoNodes net;
+    const auto client = net.client();
     bool done = false;
     const std::size_t total = 12 * 1024 * 1024; // 2N MB, N=6
-    rig.sim.spawn([](pvfs::PvfsClient &c, std::size_t n,
+    net.sim.spawn([](pvfs::PvfsClient &c, std::size_t n,
                      bool &f) -> Coro<void> {
         co_await c.connect();
         auto h = co_await c.create(1);
@@ -208,74 +191,64 @@ TEST(Pvfs, WriteExtendsFileAndHitsAllIods)
         auto sz = co_await c.fileSize(h);
         EXPECT_EQ(sz, n);
         f = true;
-    }(client, total, done));
-    rig.sim.run();
+    }(*client, total, done));
+    net.sim.run();
     EXPECT_TRUE(done);
     // Every iod stored exactly 2 MB.
-    for (const auto &iod : rig.iods)
-        EXPECT_EQ(iod->bytesWritten(), 2u * 1024 * 1024);
+    for (std::size_t i = 0; i < net.fsd.iodCount(); ++i)
+        EXPECT_EQ(net.fsd.iod(i).bytesWritten(), 2u * 1024 * 1024);
 }
 
 TEST(Pvfs, ReadPullsStripesFromAllIods)
 {
-    PvfsRig rig;
-    pvfs::PvfsClient client(rig.tb.server(1), rig.cfg,
-                            {rig.tb.server(0).id(), rig.cfg.mgrPort},
-                            rig.iodAddrs());
+    TwoNodes net;
+    const auto client = net.client();
     bool done = false;
     const std::size_t total = 12 * 1024 * 1024;
-    rig.sim.spawn([](pvfs::PvfsClient &c, std::size_t n,
+    net.sim.spawn([](pvfs::PvfsClient &c, std::size_t n,
                      bool &f) -> Coro<void> {
         co_await c.connect();
         auto h = co_await c.create(1);
         co_await c.write(h, 0, n);
         co_await c.read(h, 0, n);
         f = true;
-    }(client, total, done));
-    rig.sim.run();
+    }(*client, total, done));
+    net.sim.run();
     EXPECT_TRUE(done);
-    for (const auto &iod : rig.iods)
-        EXPECT_EQ(iod->bytesRead(), 2u * 1024 * 1024);
-    EXPECT_EQ(client.bytesRead(), total);
-    EXPECT_EQ(client.bytesWritten(), total);
+    for (std::size_t i = 0; i < net.fsd.iodCount(); ++i)
+        EXPECT_EQ(net.fsd.iod(i).bytesRead(), 2u * 1024 * 1024);
+    EXPECT_EQ(client->bytesRead(), total);
+    EXPECT_EQ(client->bytesWritten(), total);
 }
 
 TEST(Pvfs, FewerIodsStillServeTheFullRange)
 {
-    PvfsRig rig(IoatConfig::disabled(), 5);
-    pvfs::PvfsClient client(rig.tb.server(1), rig.cfg,
-                            {rig.tb.server(0).id(), rig.cfg.mgrPort},
-                            rig.iodAddrs());
+    TwoNodes net(IoatConfig::disabled(), 5);
+    const auto client = net.client();
     bool done = false;
     const std::size_t total = 10 * 1024 * 1024; // 2N MB, N=5
-    rig.sim.spawn([](pvfs::PvfsClient &c, std::size_t n,
+    net.sim.spawn([](pvfs::PvfsClient &c, std::size_t n,
                      bool &f) -> Coro<void> {
         co_await c.connect();
         auto h = co_await c.create(1);
         co_await c.write(h, 0, n);
         co_await c.read(h, 0, n);
         f = true;
-    }(client, total, done));
-    rig.sim.run();
+    }(*client, total, done));
+    net.sim.run();
     EXPECT_TRUE(done);
-    std::uint64_t stored = 0;
-    for (const auto &iod : rig.iods)
-        stored += iod->bytesWritten();
-    EXPECT_EQ(stored, total);
+    EXPECT_EQ(net.fsd.totalBytesWritten(), total);
 }
 
 TEST(Pvfs, ConcurrentClientsShareTheServers)
 {
-    PvfsRig rig;
+    TwoNodes net;
     std::vector<std::unique_ptr<pvfs::PvfsClient>> clients;
     int finished = 0;
     const std::size_t per_client = 12 * 1024 * 1024;
     for (int i = 0; i < 3; ++i) {
-        clients.push_back(std::make_unique<pvfs::PvfsClient>(
-            rig.tb.server(1), rig.cfg,
-            pvfs::DaemonAddr{rig.tb.server(0).id(), rig.cfg.mgrPort},
-            rig.iodAddrs()));
-        rig.sim.spawn([](pvfs::PvfsClient &c, std::size_t n, int id,
+        clients.push_back(net.client());
+        net.sim.spawn([](pvfs::PvfsClient &c, std::size_t n, int id,
                          int &done) -> Coro<void> {
             co_await c.connect();
             auto h = co_await c.create(100 + id);
@@ -284,33 +257,28 @@ TEST(Pvfs, ConcurrentClientsShareTheServers)
             ++done;
         }(*clients.back(), per_client, i, finished));
     }
-    rig.sim.run();
+    net.sim.run();
     EXPECT_EQ(finished, 3);
-    std::uint64_t read_total = 0;
-    for (const auto &iod : rig.iods)
-        read_total += iod->bytesRead();
-    EXPECT_EQ(read_total, 3 * per_client);
+    EXPECT_EQ(net.fsd.totalBytesRead(), 3 * per_client);
 }
 
 TEST(Pvfs, IoatReducesReadCycleTime)
 {
     auto run = [](IoatConfig features) {
-        PvfsRig rig(features);
-        pvfs::PvfsClient client(
-            rig.tb.server(1), rig.cfg,
-            {rig.tb.server(0).id(), rig.cfg.mgrPort}, rig.iodAddrs());
+        TwoNodes net(features);
+        const auto client = net.client();
         sim::Tick elapsed{};
-        rig.sim.spawn([](PvfsRig &r, pvfs::PvfsClient &c,
+        net.sim.spawn([](Simulation &s, pvfs::PvfsClient &c,
                          sim::Tick &out) -> Coro<void> {
             co_await c.connect();
             auto h = co_await c.create(1);
             co_await c.write(h, 0, 12 * 1024 * 1024);
-            const sim::Tick t0 = r.sim.now();
+            const sim::Tick t0 = s.now();
             for (int i = 0; i < 5; ++i)
                 co_await c.read(h, 0, 12 * 1024 * 1024);
-            out = r.sim.now() - t0;
-        }(rig, client, elapsed));
-        rig.sim.run();
+            out = s.now() - t0;
+        }(net.sim, *client, elapsed));
+        net.sim.run();
         return elapsed;
     };
     // Client-side receive processing is lighter with I/OAT.

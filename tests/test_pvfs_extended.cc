@@ -100,7 +100,6 @@ struct Rig
             iod_nodes.push_back(&tb.server(i));
         fsd = std::make_unique<pvfs::Deployment>(cfg, tb.server(0),
                                                  iod_nodes);
-        fsd->start();
     }
 
     core::Node &computeNode() { return tb.server(tb.serverCount() - 1); }

@@ -20,9 +20,7 @@
 #include "datacenter/proxy.hh"
 #include "datacenter/web_server.hh"
 #include "datacenter/workload.hh"
-#include "pvfs/client.hh"
-#include "pvfs/fs_state.hh"
-#include "pvfs/server.hh"
+#include "pvfs/deployment.hh"
 #include "simcore/simcore.hh"
 
 namespace {
@@ -403,21 +401,8 @@ TEST(RequestTrace, PvfsReadShowsPerServerStripes)
                          .serverConfig = core::NodeConfig::server(
                              IoatConfig::enabled()),
                      });
-    pvfs::PvfsConfig cfg;
-    cfg.iodCount = 4;
-    pvfs::FsState fs;
-    pvfs::MetadataManager mgr(tb.server(0), cfg, fs);
-    mgr.start();
-    std::vector<std::unique_ptr<pvfs::IodServer>> iods;
-    std::vector<pvfs::DaemonAddr> addrs;
-    for (unsigned i = 0; i < cfg.iodCount; ++i) {
-        iods.push_back(
-            std::make_unique<pvfs::IodServer>(tb.server(0), cfg, i));
-        iods.back()->start();
-        addrs.push_back({tb.server(0).id(), iods.back()->port()});
-    }
-    pvfs::PvfsClient client(tb.server(1), cfg,
-                            {tb.server(0).id(), cfg.mgrPort}, addrs);
+    pvfs::Deployment fsd(pvfs::PvfsConfig{.iodCount = 4}, tb.server(0));
+    const auto client = fsd.makeClient(tb.server(1));
 
     const std::size_t total = 2 * 1024 * 1024; // 512 KB per iod
     bool done = false;
@@ -428,7 +413,7 @@ TEST(RequestTrace, PvfsReadShowsPerServerStripes)
         co_await c.write(h, 0, n);
         co_await c.read(h, 0, n);
         f = true;
-    }(client, total, done));
+    }(*client, total, done));
     sim.run();
     ASSERT_TRUE(done);
 
@@ -446,7 +431,7 @@ TEST(RequestTrace, PvfsReadShowsPerServerStripes)
     ASSERT_TRUE(wr->done);
 
     // Each striped request shows one span per I/O daemon it touched.
-    for (unsigned i = 0; i < cfg.iodCount; ++i) {
+    for (std::size_t i = 0; i < fsd.iodCount(); ++i) {
         const std::string stripe = "iod" + std::to_string(i);
         EXPECT_TRUE(hasSpanNamed(*rd, stripe)) << stripe;
         EXPECT_TRUE(hasSpanNamed(*wr, stripe)) << stripe;

@@ -1,7 +1,7 @@
 /**
  * @file
- * Tests for the simcore extensions: Mutex, timeouts, Stopwatch,
- * periodic drivers, and the per-node statistics snapshots.
+ * Tests for the simcore extensions: timeouts and the per-node
+ * statistics snapshots.
  */
 
 #include <gtest/gtest.h>
@@ -18,67 +18,7 @@ using sim::Simulation;
 using sim::Tick;
 
 // --------------------------------------------------------------------
-// Mutex
-// --------------------------------------------------------------------
-
-TEST(Mutex, ProvidesMutualExclusion)
-{
-    Simulation sim;
-    sim::Mutex mu(sim);
-    int inside = 0, max_inside = 0, done = 0;
-    for (int i = 0; i < 5; ++i) {
-        sim.spawn([](Simulation &s, sim::Mutex &m, int &in, int &mx,
-                     int &dn) -> Coro<void> {
-            auto guard = co_await m.lock();
-            ++in;
-            mx = std::max(mx, in);
-            co_await s.delay(ioat::sim::Tick{10});
-            --in;
-            ++dn;
-        }(sim, mu, inside, max_inside, done));
-    }
-    sim.run();
-    EXPECT_EQ(done, 5);
-    EXPECT_EQ(max_inside, 1);
-    EXPECT_EQ(sim.now(), ioat::sim::Tick{50});
-    EXPECT_FALSE(mu.locked());
-}
-
-TEST(Mutex, TryLockFailsWhileHeld)
-{
-    Simulation sim;
-    sim::Mutex mu(sim);
-    bool observed_contended = false;
-    sim.spawn([](Simulation &s, sim::Mutex &m, bool &obs) -> Coro<void> {
-        auto guard = co_await m.lock();
-        EXPECT_FALSE(m.tryLock().has_value());
-        obs = true;
-        co_await s.delay(ioat::sim::Tick{1});
-    }(sim, mu, observed_contended));
-    sim.run();
-    EXPECT_TRUE(observed_contended);
-    auto g = mu.tryLock();
-    EXPECT_TRUE(g.has_value());
-}
-
-TEST(Mutex, GuardMoveTransfersOwnership)
-{
-    Simulation sim;
-    sim::Mutex mu(sim);
-    bool done = false;
-    sim.spawn([](sim::Mutex &m, bool &f) -> Coro<void> {
-        auto g1 = co_await m.lock();
-        sim::Mutex::Guard g2 = std::move(g1);
-        // Only g2 unlocks; no double-unlock panic on scope exit.
-        f = true;
-    }(mu, done));
-    sim.run();
-    EXPECT_TRUE(done);
-    EXPECT_FALSE(mu.locked());
-}
-
-// --------------------------------------------------------------------
-// waitWithTimeout / Stopwatch / everyUntil
+// waitWithTimeout
 // --------------------------------------------------------------------
 
 TEST(Timeout, ReturnsTrueWhenEventBeatsDeadline)
@@ -125,28 +65,6 @@ TEST(Timeout, AlreadyTriggeredReturnsImmediately)
     sim.run();
     EXPECT_TRUE(result);
     EXPECT_EQ(sim.now(), ioat::sim::Tick{0});
-}
-
-TEST(Stopwatch, MeasuresSimulatedTime)
-{
-    Simulation sim;
-    sim::Stopwatch sw(sim);
-    sim.runFor(sim::microseconds(250));
-    EXPECT_EQ(sw.elapsed(), sim::microseconds(250));
-    EXPECT_DOUBLE_EQ(sw.elapsedUs(), 250.0);
-    sw.restart();
-    EXPECT_EQ(sw.elapsed(), ioat::sim::Tick{0});
-}
-
-TEST(EveryUntil, FiresAtFixedRate)
-{
-    Simulation sim;
-    int ticks = 0;
-    sim.spawn(sim::everyUntil(sim, sim::microseconds(10),
-                              sim::microseconds(55),
-                              [&] { ++ticks; }));
-    sim.run();
-    EXPECT_EQ(ticks, 5); // at 10,20,30,40,50
 }
 
 // --------------------------------------------------------------------

@@ -1,11 +1,11 @@
 /**
  * @file
- * Tests for mixed-size and trace-driven workloads.
+ * Tests for the mixed-size workload.
  */
 
 #include <gtest/gtest.h>
 
-#include <sstream>
+#include <algorithm>
 
 #include "datacenter/trace_workload.hh"
 
@@ -57,48 +57,6 @@ TEST(MixedSizeZipf, MostRequestedBytesComeFromTheHead)
             head += 1;
     }
     EXPECT_GT(static_cast<double>(head) / static_cast<double>(total), 0.4);
-}
-
-TEST(RecordedWorkload, ReplaysInOrderAndWraps)
-{
-    std::stringstream trace;
-    trace << "5 1000\n2 2000\n9 3000\n";
-    dc::RecordedWorkload wl(trace);
-    EXPECT_EQ(wl.requestCount(), 3u);
-    EXPECT_EQ(wl.fileCount(), 10u);
-
-    sim::Rng rng(1);
-    EXPECT_EQ(wl.next(rng).fileId, 5u);
-    EXPECT_EQ(wl.next(rng).bytes, 2000u);
-    EXPECT_EQ(wl.next(rng).fileId, 9u);
-    // wrap
-    EXPECT_EQ(wl.next(rng).fileId, 5u);
-    EXPECT_EQ(wl.fileSize(2), 2000u);
-}
-
-TEST(RecordedWorkload, RoundTripsThroughRecordTrace)
-{
-    dc::SingleFileWorkload source(4096, 50);
-    std::stringstream trace;
-    dc::recordTrace(source, 200, /*seed=*/99, trace);
-
-    dc::RecordedWorkload replayed(trace);
-    EXPECT_EQ(replayed.requestCount(), 200u);
-
-    // Replay is bit-identical to a fresh sample with the same seed.
-    sim::Rng ref(99), unused(1);
-    for (int i = 0; i < 200; ++i) {
-        const auto want = source.next(ref);
-        const auto got = replayed.next(unused);
-        EXPECT_EQ(got.fileId, want.fileId);
-        EXPECT_EQ(got.bytes, want.bytes);
-    }
-}
-
-TEST(RecordedWorkloadDeathTest, EmptyTraceIsFatal)
-{
-    std::stringstream empty;
-    EXPECT_DEATH({ dc::RecordedWorkload wl(empty); }, "empty");
 }
 
 } // namespace

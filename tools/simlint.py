@@ -33,8 +33,7 @@ Rules
                   src/: model output flows through the telemetry
                   registry / RunReport / sim::Table so every run
                   artifact is machine-readable and diffable.  The
-                  sanctioned sinks are src/simcore/log.hh (leveled
-                  stderr logging) and src/simcore/assert.hh (panics).
+                  sanctioned sink is src/simcore/assert.hh (panics).
                   String *formatting* (strprintf/vsnprintf) is fine.
   raw-thread      no std::thread/mutex/condition_variable/atomic,
                   thread_local, locks or futures outside src/simcore/:
@@ -89,7 +88,7 @@ EXEMPT = {
     "raw-random": ("src/simcore/random.hh",),
     "raw-new": ("src/simcore/pool.hh",),
     "float-tick": ("src/simcore/types.hh",),
-    "raw-stdout": ("src/simcore/log.hh", "src/simcore/assert.hh"),
+    "raw-stdout": ("src/simcore/assert.hh",),
 }
 
 # Directories whose whole subtree is the sanctioned implementation.
@@ -248,8 +247,7 @@ def lint_file(path, rel):
             report(
                 lineno, "raw-stdout",
                 "raw console I/O; emit run artifacts through the "
-                "telemetry registry / RunReport / sim::Table (leveled "
-                "diagnostics go through src/simcore/log.hh)",
+                "telemetry registry / RunReport / sim::Table",
             )
         if not exempt("raw-thread") and RAW_THREAD_RE.search(line):
             report(
