@@ -35,10 +35,11 @@ run(IoatConfig features, unsigned threads,
     const Options *report = nullptr)
 {
     Simulation sim;
+    const NodeConfig cfg = NodeConfig::server(features);
     core::Testbed tb(sim,
                      core::TestbedConfig{
                          .serverCount = 2,
-                         .serverConfig = NodeConfig::server(features),
+                         .serverConfig = cfg,
                          .clientCount = 4,
                      });
 
@@ -71,7 +72,7 @@ run(IoatConfig features, unsigned threads,
 
     if (tr)
         tr->finish({{"threads", std::to_string(threads)},
-                    {"ioat", features.any() ? "true" : "false"}});
+                    {"ioat", cfg.ioat.any() ? "true" : "false"}});
 
     return {static_cast<double>(done1 - done0) /
                 sim::toSeconds(meter.elapsed()),

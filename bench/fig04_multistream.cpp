@@ -27,7 +27,7 @@ run(IoatConfig features, unsigned threads,
         rig.run({.streams = threads, .touchPayload = true});
     if (TelemetryRun *tr = rig.telemetry())
         tr->finish({{"threads", std::to_string(threads)},
-                    {"ioat", features.any() ? "true" : "false"}});
+                    {"ioat", cfg.ioat.any() ? "true" : "false"}});
     return r;
 }
 

@@ -51,7 +51,7 @@ run(IoatConfig features, int case_id, bool bidirectional,
     if (TelemetryRun *tr = rig.telemetry())
         tr->finish({{"case", std::to_string(case_id)},
                     {"bidirectional", bidirectional ? "true" : "false"},
-                    {"ioat", features.any() ? "true" : "false"}});
+                    {"ioat", cfg.ioat.any() ? "true" : "false"}});
     return r;
 }
 

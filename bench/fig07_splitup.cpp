@@ -39,7 +39,7 @@ run(IoatConfig features, std::size_t msg_bytes,
                                     .window = sim::milliseconds(500)});
     if (TelemetryRun *tr = rig.telemetry())
         tr->finish({{"msgBytes", std::to_string(msg_bytes)},
-                    {"ioat", features.any() ? "true" : "false"}});
+                    {"ioat", cfg.ioat.any() ? "true" : "false"}});
     return r;
 }
 

@@ -80,7 +80,7 @@ runTps(IoatConfig features, dc::Workload &workload,
         tr->finish(
             {{"proxyCacheBytes", std::to_string(proxy_cache_bytes)},
              {"proxyCaching", proxy_caching ? "true" : "false"},
-             {"ioat", features.any() ? "true" : "false"}});
+             {"ioat", server_cfg.ioat.any() ? "true" : "false"}});
 
     return static_cast<double>(done1 - done0) /
            sim::toSeconds(meter.elapsed());

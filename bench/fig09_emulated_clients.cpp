@@ -71,7 +71,7 @@ run(IoatConfig features, unsigned threads,
 
     if (tr)
         tr->finish({{"threads", std::to_string(threads)},
-                    {"ioat", features.any() ? "true" : "false"}});
+                    {"ioat", cfg_node.ioat.any() ? "true" : "false"}});
 
     return {static_cast<double>(done1 - done0) /
                 sim::toSeconds(meter.elapsed()),

@@ -100,7 +100,8 @@ runPvfs(PvfsOp op, IoatConfig features, unsigned iods, unsigned processes,
     const std::uint64_t bytes1 = moved();
 
     if (tr) {
-        echo.emplace_back("ioat", features.any() ? "true" : "false");
+        const bool ioat = tbCfg.serverConfig.ioat.any();
+        echo.emplace_back("ioat", ioat ? "true" : "false");
         tr->finish(std::move(echo));
     }
 

@@ -151,7 +151,7 @@ class IodServer : public sim::telemetry::Instrumented,
     sim::stats::Counter bytesWritten_;
     sim::stats::Counter dupWrites_;
     sim::stats::Counter replays_;
-    // std::map: deterministic iteration (simlint bans unordered).
+    // std::map: deterministic iteration (simcheck bans unordered).
     /** Volatile: write ids whose payload is in ramfs right now. */
     std::map<std::uint64_t, std::size_t> applied_;
     /** Durable: the ack-after-journal intent log (id -> bytes). */

@@ -100,7 +100,7 @@ class EventQueue
     {
         clear();
         for (Node *chunk : chunks_)
-            // simlint: allow(raw-new) node-arena chunk teardown
+            // simcheck: allow(raw-new) node-arena chunk teardown
             delete[] chunk;
         retired_ += executed_;
     }
@@ -439,7 +439,7 @@ class EventQueue
     allocNode()
     {
         if (freeHead_ == nullptr) {
-            // simlint: allow(raw-new) this IS the node arena
+            // simcheck: allow(raw-new) this IS the node arena
             Node *chunk = new Node[kChunkNodes];
             chunks_.push_back(chunk);
             for (std::size_t i = kChunkNodes; i-- > 0;) {

@@ -179,8 +179,9 @@ seconds(std::uint64_t n)
  * rates in floating point before committing to simulated time.
  *
  * This is the only sanctioned way (besides `Rate::transferTime`) to
- * turn a floating-point nanosecond figure into a Tick; simlint flags
- * ad-hoc casts so every conversion point stays greppable and audited.
+ * turn a floating-point nanosecond figure into a Tick; simcheck's
+ * float-tick rule flags ad-hoc casts so every conversion point stays
+ * greppable and audited.
  */
 constexpr Tick
 ticksFromDouble(double ns)

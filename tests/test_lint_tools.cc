@@ -1,10 +1,10 @@
-// Ctest wrapper around the lint tools' fixture corpora.
+// Ctest wrapper around simcheck's fixture corpus.
 //
-// The python self-tests already compare per-file findings against
-// their expected.json; this wrapper re-states the per-rule totals in
-// C++ so that editing expected.json (or deleting fixtures) cannot
-// silently weaken the gate — the counts asserted here must move in
-// the same commit, in a file reviewers read.
+// The python self-test already compares per-file findings against
+// expected.json; this wrapper re-states the per-rule totals in C++ so
+// that editing expected.json (or deleting fixtures) cannot silently
+// weaken the gate — the counts asserted here must move in the same
+// commit, in a file reviewers read.
 #include <gtest/gtest.h>
 
 #include <sys/wait.h>
@@ -52,25 +52,17 @@ runTool(const std::string &args)
 TEST(LintTools, SimcheckFixtureCorpusExactPerRuleCounts)
 {
     const auto r = runTool(std::string(IOAT_SOURCE_DIR)
-                           + "/tools/simcheck --self-test "
-                             "--no-clang-parity");
+                           + "/tools/simcheck --self-test");
     EXPECT_EQ(r.exitCode, 0) << r.output;
     // Exact per-rule totals over the fixture corpus.  If a fixture or
     // its expected.json changes, this line must change with it.
     EXPECT_NE(r.output.find("simcheck self-test counts: "
-                            "coro-lifetime=3 layering=5 "
-                            "shard-safety=4 strong-type=3"),
+                            "coro-lifetime=3 float-tick=2 layering=5 "
+                            "raw-new=5 raw-random=5 raw-stdout=9 "
+                            "raw-thread=6 shard-safety=11 strong-type=3 "
+                            "wall-clock=4\n"),
               std::string::npos)
         << r.output;
     EXPECT_NE(r.output.find("simcheck self-test OK"), std::string::npos)
-        << r.output;
-}
-
-TEST(LintTools, SimlintFixtureCorpusClean)
-{
-    const auto r = runTool(std::string(IOAT_SOURCE_DIR)
-                           + "/tools/simlint.py --self-test");
-    EXPECT_EQ(r.exitCode, 0) << r.output;
-    EXPECT_NE(r.output.find("0 failures"), std::string::npos)
         << r.output;
 }

@@ -2,16 +2,15 @@
 # One-shot pre-PR gate: everything CI checks, locally, in order of
 # increasing cost.  A clean exit means the tree is ready to post.
 #
-#   1. determinism lint (tools/simlint.py): fixture self-test + src/
-#   2. semantic analysis (tools/simcheck): fixture self-test + whole
-#      tree against the gated build's compile_commands.json
-#   3. formatting (tools/format.sh --check; skipped if no clang-format)
-#   4. warnings-as-errors build (-DIOAT_WERROR=ON adds -Wshadow
+#   1. determinism analysis (tools/simcheck): fixture self-test +
+#      whole tree against the gated build's compile_commands.json
+#   2. formatting (tools/format.sh --check; skipped if no clang-format)
+#   3. warnings-as-errors build (-DIOAT_WERROR=ON adds -Wshadow
 #      -Wconversion -Werror), with clang-tidy alongside when installed
-#   5. full ctest suite in the gated build
-#   6. chaos recovery gate: ctest -L chaos plus a short
+#   4. full ctest suite in the gated build
+#   5. chaos recovery gate: ctest -L chaos plus a short
 #      chaos_search invariant sweep (zero violations required)
-#   7. ASan+UBSan build + full suite (tools/sanitize.sh)
+#   6. ASan+UBSan build + full suite (tools/sanitize.sh)
 #
 # Usage: tools/check.sh [--no-sanitize]
 set -eu
@@ -24,16 +23,7 @@ run_sanitize=1
 
 step() { printf '\n== check.sh: %s ==\n' "$1"; }
 
-step "simlint self-test"
-python3 tools/simlint.py --self-test
-
-step "simlint over src/"
-python3 tools/simlint.py
-
-step "simcheck self-test"
-python3 tools/simcheck --self-test
-
-# Configure the gated build now so simcheck can consume its
+# Configure the gated build first so simcheck can consume its
 # compilation database; the expensive compile runs later.
 tidy=OFF
 if command -v clang-tidy >/dev/null 2>&1; then
@@ -44,7 +34,8 @@ fi
 build="$repo/build-check"
 cmake -B "$build" -S "$repo" -DIOAT_WERROR=ON -DIOAT_TIDY=$tidy
 
-step "simcheck over the tree"
+step "determinism analysis (simcheck self-test + tree)"
+python3 tools/simcheck --self-test
 python3 tools/simcheck -p "$build/compile_commands.json"
 
 step "format check"

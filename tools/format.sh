@@ -20,7 +20,7 @@ fi
 
 mode="${1:-fix}"
 
-files=$(git ls-files '*.hh' '*.cc' '*.cpp' | grep -v '^tools/simlint_fixtures/')
+files=$(git ls-files '*.hh' '*.cc' '*.cpp' | grep -v '^tools/simcheck/fixtures/')
 
 if [ "$mode" = "--check" ]; then
     # shellcheck disable=SC2086

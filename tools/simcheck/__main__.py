@@ -2,55 +2,49 @@
 
 Usage (from the repo root):
 
-    python3 tools/simcheck [paths...] [options]
+    python3 tools/simcheck [-p compile_commands.json] [-q]
+    python3 tools/simcheck --self-test
 
 Two-phase pipeline:
 
-  1. Per-file scans, in parallel, cached by content hash: every
-     project file reachable from the selected TUs (through resolved
-     quoted/-I includes) is reduced to facts + declaration tables by
-     the lexical frontend.  In clang mode each TU is additionally
-     parsed with libclang for canonical-type tables and diagnostics.
+  1. Every project file reachable from the src/, bench/ and examples/
+     TUs (through resolved quoted/-I includes) is reduced to facts +
+     declaration tables by the lexical frontend.  In clang mode each
+     TU is additionally parsed with libclang for canonical-type
+     tables.
   2. Tables are merged across files (alias chains run to fixpoint,
      same-name coroutine signatures merge conservatively — a
      parameter counts as by-reference only if every declaration
      agrees) and the rules in rules.py are evaluated.
 
-Findings can be waived two ways, both budgeted and reported:
-  * `// simcheck: allow(rule)` (or `// simlint: allow(rule)`) on the
-    finding line or the line above — per-rule budget, default 5;
-  * tools/simcheck/baseline.json — checked-in debt with a
-    justification per entry; stale entries are reported.
+A finding is waived by `// simcheck: allow(rule[, rule])` on its own
+line or the line above.  Each rule takes at most ALLOW_BUDGET waivers
+across the tree, so waivers stay rare and reviewed; the summary line
+reports what is left.
 
 Exit codes: 0 clean, 1 findings or budget exceeded, 2 environment or
 usage error.
 """
 
 import argparse
-import hashlib
 import json
-import multiprocessing
 import os
 import re
 import shlex
-import subprocess
 import sys
-import tempfile
 
 if __package__ in (None, ""):
     sys.path.insert(0, os.path.dirname(os.path.dirname(
         os.path.abspath(__file__))))
     __package__ = "simcheck"
 
-from . import SCHEMA_VERSION, __version__
 from . import clang_frontend, lex_frontend, rules
-from .facts import FACT_INCLUDE, FACT_UNORDERED_ITER, fact
+from .facts import FACT_INCLUDE, fact
 
-DEFAULT_SCOPE = ("src/", "bench/", "examples/")
-DEFAULT_ALLOW_BUDGET = 5
+SCOPE = ("src/", "bench/", "examples/")
+ALLOW_BUDGET = 5
 ALLOW_RE = re.compile(
-    r"//\s*sim(?:check|lint):\s*allow\(\s*([a-z-]+(?:\s*,\s*[a-z-]+)*)"
-    r"\s*\)")
+    r"//\s*simcheck:\s*allow\(\s*([a-z-]+(?:\s*,\s*[a-z-]+)*)\s*\)")
 
 _KEEP_ARG_PREFIXES = ("-I", "-D", "-std=")
 _KEEP_ARG_WITH_VALUE = ("-isystem", "-include")
@@ -61,24 +55,16 @@ def _read(path):
         return f.read()
 
 
-def _sha(*parts):
-    h = hashlib.sha256()
-    for p in parts:
-        h.update(p.encode() if isinstance(p, str) else p)
-        h.update(b"\x00")
-    return h.hexdigest()
-
-
 # ---------------------------------------------------------------- TUs
 
 class TU:
-    __slots__ = ("rel", "abspath", "incdirs", "check_args")
+    __slots__ = ("rel", "abspath", "incdirs", "clang_args")
 
-    def __init__(self, rel, abspath, incdirs, check_args):
+    def __init__(self, rel, abspath, incdirs, clang_args):
         self.rel = rel
         self.abspath = abspath
         self.incdirs = incdirs        # repo-relative include dirs
-        self.check_args = check_args  # filtered flags for -fsyntax-only
+        self.clang_args = clang_args  # -I/-D/-std flags for libclang
 
 
 def load_compile_commands(cc_path, root):
@@ -95,7 +81,7 @@ def load_compile_commands(cc_path, root):
         if not abspath.startswith(root + os.sep):
             continue
         rel = os.path.relpath(abspath, root)
-        incdirs, check_args = [], []
+        incdirs, clang_args = [], []
         i = 1
         while i < len(argv):
             a = argv[i]
@@ -104,18 +90,18 @@ def load_compile_commands(cc_path, root):
                 if not a[2:]:
                     i += 1
                 dabs = os.path.realpath(os.path.join(directory, d))
-                check_args.append("-I" + dabs)
+                clang_args.append("-I" + dabs)
                 if dabs == root:
                     incdirs.append(".")
                 elif dabs.startswith(root + os.sep):
                     incdirs.append(os.path.relpath(dabs, root))
             elif a.startswith(_KEEP_ARG_PREFIXES):
-                check_args.append(a)
+                clang_args.append(a)
             elif a in _KEEP_ARG_WITH_VALUE and i + 1 < len(argv):
-                check_args.extend([a, argv[i + 1]])
+                clang_args.extend([a, argv[i + 1]])
                 i += 1
             i += 1
-        tus.append(TU(rel, abspath, incdirs, check_args))
+        tus.append(TU(rel, abspath, incdirs, clang_args))
     return tus
 
 
@@ -134,72 +120,13 @@ def resolve_include(rel_file, inc, quoted, incdirs, root):
     return None
 
 
-# ------------------------------------------------------- scan workers
-
-def _scan_worker(job):
-    rel, text = job
-    return rel, lex_frontend.scan_file(rel, text)
-
-
-def _typecheck_worker(job):
-    rel, cmd = job
-    try:
-        p = subprocess.run(cmd, capture_output=True, text=True,
-                           timeout=300)
-    except Exception as e:
-        return rel, False, "", 1, f"type-check could not run: {e}"
-    if p.returncode == 0:
-        return rel, True, "", 0, ""
-    # Attribute the finding to the file the first error is *in* (often
-    # a header, not the TU itself).
-    path, line, msg = "", 1, (p.stderr or "compilation failed").strip()
-    m = re.search(r"^(.*?):(\d+):(?:\d+:)?\s*(?:fatal )?error:\s*(.*)$",
-                  p.stderr or "", re.M)
-    if m:
-        path, line, msg = m.group(1), int(m.group(2)), m.group(3).strip()
-    return rel, False, path, line, msg
-
-
-class Cache:
-    def __init__(self, cache_dir):
-        self.dir = cache_dir
-        if cache_dir:
-            os.makedirs(cache_dir, exist_ok=True)
-
-    def get(self, key):
-        if not self.dir:
-            return None
-        p = os.path.join(self.dir, key + ".json")
-        try:
-            return json.loads(_read(p))
-        except (OSError, ValueError):
-            return None
-
-    def put(self, key, value):
-        if not self.dir:
-            return
-        p = os.path.join(self.dir, key + ".json")
-        tmp = p + f".tmp{os.getpid()}"
-        try:
-            with open(tmp, "w", encoding="utf-8") as f:
-                json.dump(value, f)
-            os.replace(tmp, p)
-        except OSError:
-            pass
-
-
 # ------------------------------------------------------------ driver
 
 class Analysis:
-    def __init__(self, root, tus, scope, jobs, cache, frontend,
-                 typecheck):
+    def __init__(self, root, tus, frontend):
         self.root = root
-        self.tus = [t for t in tus
-                    if any(t.rel.startswith(p) for p in scope)]
-        self.jobs = jobs
-        self.cache = cache
+        self.tus = [t for t in tus if t.rel.startswith(SCOPE)]
         self.frontend = frontend
-        self.typecheck = typecheck
         self.scans = {}        # rel -> scan_file() result
         self.texts = {}        # rel -> raw text
         self.include_facts = []
@@ -210,52 +137,26 @@ class Analysis:
         incdirs = sorted({d for t in self.tus for d in t.incdirs})
         queue = [t.rel for t in self.tus]
         seen = set(queue)
-        while queue:
-            batch, texts = [], {}
-            for rel in queue:
-                try:
-                    text = _read(os.path.join(self.root, rel))
-                except OSError as e:
-                    self.notes.append(f"unreadable: {rel}: {e}")
+        # Breadth-first: the loop visits files appended while it runs.
+        for rel in queue:
+            try:
+                text = _read(os.path.join(self.root, rel))
+            except OSError as e:
+                self.notes.append(f"unreadable: {rel}: {e}")
+                continue
+            self.texts[rel] = text
+            scan = lex_frontend.scan_file(rel, text)
+            self.scans[rel] = scan
+            for lineno, inc, quoted in scan["raw_includes"]:
+                target = resolve_include(rel, inc, quoted, incdirs,
+                                         self.root)
+                if target is None:
                     continue
-                texts[rel] = text
-                batch.append((rel, text))
-            self.texts.update(texts)
-            queue = []
-            for rel, scan in self._run_scans(batch):
-                self.scans[rel] = scan
-                for lineno, inc, quoted in scan["raw_includes"]:
-                    target = resolve_include(rel, inc, quoted, incdirs,
-                                             self.root)
-                    if target is None:
-                        continue
-                    self.include_facts.append(fact(
-                        FACT_INCLUDE, rel, lineno, target=target))
-                    if target not in seen:
-                        seen.add(target)
-                        queue.append(target)
-
-    def _run_scans(self, batch):
-        jobs, results = [], []
-        for rel, text in batch:
-            key = "scan-" + _sha(str(SCHEMA_VERSION), text)
-            hit = self.cache.get(key)
-            if hit is not None:
-                results.append((rel, hit))
-            else:
-                jobs.append((rel, text, key))
-        if jobs:
-            work = [(rel, text) for rel, text, _ in jobs]
-            if self.jobs > 1 and len(work) > 1:
-                with multiprocessing.Pool(self.jobs) as pool:
-                    scanned = pool.map(_scan_worker, work)
-            else:
-                scanned = [_scan_worker(w) for w in work]
-            keys = {rel: key for rel, _, key in jobs}
-            for rel, scan in scanned:
-                self.cache.put(keys[rel], scan)
-                results.append((rel, scan))
-        return results
+                self.include_facts.append(fact(
+                    FACT_INCLUDE, rel, lineno, target=target))
+                if target not in seen:
+                    seen.add(target)
+                    queue.append(target)
 
     # -- phase 2: merge tables
     def merge(self):
@@ -292,7 +193,8 @@ class Analysis:
 
         if self.frontend == "clang":
             for t in self.tus:
-                r = self._clang_tu(t)
+                r = clang_frontend.analyze_tu(
+                    t.abspath, t.clang_args + ["-xc++"], self.root)
                 strong_vars.update(r["strong_vars"])
                 strong_ret.update(r["strong_ret_fns"])
                 unordered.update(r["unordered_names"])
@@ -308,92 +210,14 @@ class Analysis:
                 "unordered_names": unordered, "coro_sigs": coro_sigs,
                 "aliases": aliases}
 
-    def _closure_key(self, tu, tag):
-        closure = sorted(self._closure_of(tu.rel))
-        parts = [tag, str(SCHEMA_VERSION), " ".join(tu.check_args)]
-        for rel in closure:
-            parts.append(rel)
-            parts.append(_sha(self.texts.get(rel, "")))
-        return tag + "-" + _sha(*parts)
-
-    def _closure_of(self, rel):
-        edges = {}
-        for f in self.include_facts:
-            edges.setdefault(f["file"], set()).add(f["target"])
-        seen, queue = {rel}, [rel]
-        while queue:
-            for t in edges.get(queue.pop(), ()):
-                if t not in seen:
-                    seen.add(t)
-                    queue.append(t)
-        return seen
-
-    def _clang_tu(self, tu):
-        key = self._closure_key(tu, "clang")
-        hit = self.cache.get(key)
-        if hit is not None:
-            return hit
-        r = clang_frontend.analyze_tu(
-            tu.abspath, tu.check_args + ["-xc++"], self.root)
-        self.cache.put(key, r)
-        return r
-
-    # -- type-check every TU
-    def typecheck_facts(self):
-        if not self.typecheck:
-            return []
-        if self.frontend == "clang":
-            out = []
-            for t in self.tus:
-                out.extend(self._clang_tu(t)["type_errors"])
-            return out
-        compiler = os.environ.get("CXX", "c++")
-        jobs, results = [], []
-        for t in self.tus:
-            key = self._closure_key(t, "tc")
-            hit = self.cache.get(key)
-            if hit is not None:
-                results.append((t.rel, key, hit))
-                continue
-            cmd = [compiler, "-fsyntax-only"] + t.check_args + \
-                [t.abspath]
-            jobs.append((t.rel, key, cmd))
-        if jobs:
-            work = [(rel, cmd) for rel, _, cmd in jobs]
-            if self.jobs > 1 and len(work) > 1:
-                with multiprocessing.Pool(self.jobs) as pool:
-                    checked = pool.map(_typecheck_worker, work)
-            else:
-                checked = [_typecheck_worker(w) for w in work]
-            keys = {rel: key for rel, key, _ in jobs}
-            for rel, ok, path, line, msg in checked:
-                r = {"ok": ok, "path": path, "line": line, "msg": msg}
-                self.cache.put(keys[rel], r)
-                results.append((rel, keys[rel], r))
-        facts = []
-        for rel, _, r in results:
-            if r["ok"]:
-                continue
-            where = rel
-            p = os.path.realpath(os.path.join(self.root,
-                                              r.get("path") or ""))
-            if r.get("path") and p.startswith(self.root + os.sep) and \
-                    os.path.isfile(p):
-                where = os.path.relpath(p, self.root)
-            facts.append(fact("type-error", where, r["line"],
-                              message=f"{r['msg']} (TU {rel})"
-                              if where != rel else r["msg"]))
-        return facts
-
     # -- evaluate rules
     def findings(self):
         tables = self.merge()
-        spawns, count_calls, iter_sites, statics = [], [], [], []
+        spawns, count_calls, iter_sites, facts = [], [], [], []
         for scan in self.scans.values():
             spawns.extend(scan["spawns"])
             count_calls.extend(scan["count_calls"])
-            statics.extend(f for f in scan["facts"]
-                           if f["kind"] == "mutable-static")
+            facts.extend(scan["facts"])
             # Resolve iteration sites per-file first: a local
             # declaration of the name (ordered or unordered) shadows
             # the merged global table — member names repeat across
@@ -416,8 +240,8 @@ class Analysis:
                                            tables["strong_vars"],
                                            tables["strong_ret_fns"]))
         out.extend(rules.check_shard_safety(
-            statics, iter_sites, tables["unordered_names"]))
-        out.extend(rules.check_typecheck(self.typecheck_facts()))
+            facts, iter_sites, tables["unordered_names"]))
+        out.extend(rules.check_tokens(facts))
         uniq = {}
         for f in out:
             uniq.setdefault(f.key(), f)
@@ -425,7 +249,7 @@ class Analysis:
                       key=lambda f: (f.file, f.line, f.rule))
 
 
-# -------------------------------------------- allows / baseline / out
+# ------------------------------------------------------------ waivers
 
 def collect_allows(texts):
     """{(file, rule): set of line numbers the allow covers}."""
@@ -441,117 +265,50 @@ def collect_allows(texts):
     return allowed
 
 
-def load_baseline(path):
-    if not path or not os.path.isfile(path):
-        return []
-    try:
-        data = json.loads(_read(path))
-    except (OSError, ValueError) as e:
-        raise SystemExit(f"simcheck: bad baseline {path}: {e}")
-    return list(data.get("entries", []))
-
-
-def apply_waivers(findings, allows, baseline, budgets):
-    """Partition findings; returns (live, waived, allow_used,
-    budget_errors, stale_baseline)."""
-    live, waived = [], []
-    allow_used = {}
-    base_left = {}
-    for e in baseline:
-        k = (e.get("rule"), e.get("file"))
-        base_left[k] = base_left.get(k, 0) + int(e.get("count", 0))
+def apply_waivers(findings, allows):
+    """Partition findings; returns (live, {rule: waivers used},
+    budget_errors)."""
+    live, used = [], {}
     for f in findings:
-        lines = allows.get((f.file, f.rule), ())
-        if f.line in lines:
-            allow_used[f.rule] = allow_used.get(f.rule, 0) + 1
-            waived.append((f, "allow"))
-            continue
-        k = (f.rule, f.file)
-        if base_left.get(k, 0) > 0:
-            base_left[k] -= 1
-            waived.append((f, "baseline"))
-            continue
-        live.append(f)
+        if f.line in allows.get((f.file, f.rule), ()):
+            used[f.rule] = used.get(f.rule, 0) + 1
+        else:
+            live.append(f)
     budget_errors = [
         f"allow budget exceeded for rule '{r}': {n} used, "
-        f"budget {budgets.get(r, DEFAULT_ALLOW_BUDGET)}"
-        for r, n in sorted(allow_used.items())
-        if n > budgets.get(r, DEFAULT_ALLOW_BUDGET)]
-    stale = [k for k, n in sorted(base_left.items()) if n > 0]
-    return live, waived, allow_used, budget_errors, stale
-
-
-def to_sarif(findings):
-    return {
-        "$schema": "https://json.schemastore.org/sarif-2.1.0.json",
-        "version": "2.1.0",
-        "runs": [{
-            "tool": {"driver": {
-                "name": "simcheck",
-                "version": __version__,
-                "informationUri":
-                    "tools/simcheck (see DESIGN.md section 11)",
-                "rules": [{"id": r} for r in rules.RULES],
-            }},
-            "results": [{
-                "ruleId": f.rule,
-                "level": "error",
-                "message": {"text": f.message},
-                "locations": [{"physicalLocation": {
-                    "artifactLocation": {"uri": f.file},
-                    "region": {"startLine": f.line},
-                }}],
-            } for f in findings],
-        }],
-    }
-
-
-def write_baseline(path, findings):
-    grouped = {}
-    for f in findings:
-        k = (f.rule, f.file)
-        grouped[k] = grouped.get(k, 0) + 1
-    data = {"version": 1, "entries": [
-        {"rule": r, "file": fl, "count": n,
-         "justification": "TODO: justify or fix"}
-        for (r, fl), n in sorted(grouped.items())]}
-    with open(path, "w", encoding="utf-8") as f:
-        json.dump(data, f, indent=2)
-        f.write("\n")
+        f"budget {ALLOW_BUDGET}"
+        for r, n in sorted(used.items()) if n > ALLOW_BUDGET]
+    return live, used, budget_errors
 
 
 # ---------------------------------------------------------- self-test
 
-def self_test(jobs, use_clang):
+def self_test():
     here = os.path.dirname(os.path.abspath(__file__))
     fixdir = os.path.join(here, "fixtures")
     expected = json.loads(_read(os.path.join(fixdir, "expected.json")))
+    tus = []
+    for dirpath, dirnames, names in os.walk(fixdir):
+        dirnames.sort()
+        for n in sorted(names):
+            if n.endswith(".cc"):
+                p = os.path.join(dirpath, n)
+                tus.append(TU(os.path.relpath(p, fixdir), p, ["src"],
+                              ["-std=c++20",
+                               "-I" + os.path.join(fixdir, "src")]))
 
-    def run_once(frontend, baseline):
-        tus = []
-        for dirpath, _, names in os.walk(fixdir):
-            for n in sorted(names):
-                if n.endswith(".cc"):
-                    p = os.path.join(dirpath, n)
-                    rel = os.path.relpath(p, fixdir)
-                    tus.append(TU(rel, p, ["src"],
-                                  ["-std=c++20",
-                                   "-I" + os.path.join(fixdir, "src")]))
-        with tempfile.TemporaryDirectory() as tmp:
-            ana = Analysis(fixdir, tus, DEFAULT_SCOPE, jobs,
-                           Cache(os.path.join(tmp, "cache")), frontend,
-                           typecheck=True)
-            ana.scan_all()
-            findings = ana.findings()
-            allows = collect_allows(ana.texts)
-            live, waived, used, berr, stale = apply_waivers(
-                findings, allows, baseline, {})
-            return live, used, berr, stale, ana.notes
-
+    legs = ["lex"]
+    if clang_frontend.available():
+        legs.append("clang")
+    else:
+        print("simcheck self-test: libclang unavailable, "
+              "clang-parity leg skipped", file=sys.stderr)
     failures = []
-
-    def check(frontend):
-        live, used, berr, stale, notes = run_once(frontend, [])
+    for frontend in legs:
+        ana = Analysis(fixdir, tus, frontend)
+        ana.scan_all()
+        live, used, berr = apply_waivers(ana.findings(),
+                                         collect_allows(ana.texts))
         got = {}
         for f in live:
             got.setdefault(f.file, {})
@@ -563,52 +320,21 @@ def self_test(jobs, use_clang):
                 f"  got      {json.dumps(got, sort_keys=True)}")
             for f in live:
                 print(f"  [{frontend}] {f}")
-        if used != expected.get("allows_used", {}):
+        if used != expected["allows_used"]:
             failures.append(
                 f"[{frontend}] allows_used mismatch: expected "
-                f"{expected.get('allows_used')}, got {used}")
+                f"{expected['allows_used']}, got {used}")
         if berr:
             failures.append(f"[{frontend}] unexpected budget error: "
                             f"{berr}")
-        for n in notes:
+        for n in ana.notes:
             print(f"  note [{frontend}]: {n}", file=sys.stderr)
-        # Baseline mechanism: waiving one layering debt entry must
-        # remove exactly that finding and report no stale entries.
-        bl_file = expected["baseline_probe"]["file"]
-        bl = [{"rule": "layering", "file": bl_file, "count": 1,
-               "justification": "self-test probe"}]
-        live2, _, _, stale2, _ = run_once(frontend, bl)
-        if len(live2) != len(live) - 1:
-            failures.append(
-                f"[{frontend}] baseline probe: expected "
-                f"{len(live) - 1} findings, got {len(live2)}")
-        if stale2:
-            failures.append(
-                f"[{frontend}] baseline probe left stale entries: "
-                f"{stale2}")
-        bl_stale = [{"rule": "layering", "file": bl_file, "count": 99,
-                     "justification": "overshoot"}]
-        _, _, _, stale3, _ = run_once(frontend, bl_stale)
-        if not stale3:
-            failures.append(
-                f"[{frontend}] overshooting baseline not reported "
-                f"stale")
-
-    check("lex")
-    if use_clang:
-        if clang_frontend.available():
-            check("clang")
-        else:
-            print("simcheck self-test: libclang unavailable, "
-                  "clang-parity leg skipped", file=sys.stderr)
 
     if failures:
         print("simcheck self-test FAILED:")
         for f in failures:
             print("  " + f.replace("\n", "\n  "))
         return 1
-    legs = "lex+clang" if use_clang and clang_frontend.available() \
-        else "lex"
     # Machine-readable per-rule totals: tests/test_lint_tools.cc pins
     # this line, so the fixture corpus cannot silently shrink.
     totals = {}
@@ -617,70 +343,31 @@ def self_test(jobs, use_clang):
             totals[rule] = totals.get(rule, 0) + n
     print("simcheck self-test counts: "
           + " ".join(f"{r}={totals[r]}" for r in sorted(totals)))
-    print(f"simcheck self-test OK ({legs}; "
-          f"{sum(sum(v.values()) for v in expected['findings'].values())}"
-          f" expected findings reproduced)")
+    print(f"simcheck self-test OK ({'+'.join(legs)}; "
+          f"{sum(totals.values())} expected findings reproduced)")
     return 0
 
 
 # --------------------------------------------------------------- main
 
-def parse_budgets(specs):
-    budgets = {}
-    for spec in specs or ():
-        if "=" in spec:
-            rule, _, n = spec.partition("=")
-            if rule not in rules.RULES:
-                raise SystemExit(
-                    f"simcheck: unknown rule in --allow-budget: {rule}")
-            budgets[rule] = int(n)
-        else:
-            for r in rules.RULES:
-                budgets[r] = int(spec)
-    return budgets
-
-
 def main(argv=None):
     ap = argparse.ArgumentParser(
         prog="simcheck",
-        description="AST-grounded determinism analyzer "
+        description="determinism analyzer for the simulator sources "
                     "(see tools/simcheck/__init__.py)")
-    ap.add_argument("paths", nargs="*",
-                    help="scope prefixes (default: src/ bench/ "
-                         "examples/)")
     ap.add_argument("-p", "--compile-commands", default=None,
                     help="compile_commands.json (default: "
                          "./build/compile_commands.json or "
                          "./compile_commands.json)")
-    ap.add_argument("--frontend", choices=("auto", "lex", "clang"),
-                    default="auto")
-    ap.add_argument("--no-typecheck", action="store_true",
-                    help="skip per-TU type-check (rule 'typecheck')")
-    ap.add_argument("-j", "--jobs", type=int,
-                    default=os.cpu_count() or 1)
-    ap.add_argument("--cache-dir", default=None,
-                    help="scan cache (default: "
-                         "<compile-commands dir>/.simcheck-cache)")
-    ap.add_argument("--no-cache", action="store_true")
-    ap.add_argument("--baseline", default=None,
-                    help="baseline file (default: "
-                         "tools/simcheck/baseline.json)")
-    ap.add_argument("--write-baseline", action="store_true",
-                    help="rewrite the baseline from current findings")
-    ap.add_argument("--allow-budget", action="append", metavar="[RULE=]N",
-                    help=f"per-rule allow budget (default "
-                         f"{DEFAULT_ALLOW_BUDGET} per rule)")
-    ap.add_argument("--json", dest="json_out", default=None)
-    ap.add_argument("--sarif", dest="sarif_out", default=None)
     ap.add_argument("--self-test", action="store_true",
-                    help="run the fixture suite and exit")
-    ap.add_argument("--no-clang-parity", action="store_true",
-                    help="with --self-test: skip the clang leg")
-    ap.add_argument("-q", "--quiet", action="store_true")
+                    help="run the fixture suite (with the clang leg "
+                         "when libclang imports) and exit")
+    ap.add_argument("-q", "--quiet", action="store_true",
+                    help="omit the summary line")
     args = ap.parse_args(argv)
 
     if args.self_test:
-        return self_test(args.jobs, not args.no_clang_parity)
+        return self_test()
 
     root = os.path.realpath(os.path.dirname(os.path.dirname(
         os.path.dirname(os.path.abspath(__file__)))))
@@ -698,78 +385,30 @@ def main(argv=None):
               "is on by default) or pass -p", file=sys.stderr)
         return 2
 
-    frontend = args.frontend
-    if frontend == "auto":
-        frontend = "clang" if clang_frontend.available() else "lex"
-    elif frontend == "clang" and not clang_frontend.available():
-        print("simcheck: --frontend clang requested but clang.cindex "
-              "is unavailable", file=sys.stderr)
-        return 2
-
-    scope = tuple(p.rstrip("/") + "/" for p in args.paths) \
-        or DEFAULT_SCOPE
-    cache_dir = None if args.no_cache else (
-        args.cache_dir or
-        os.path.join(os.path.dirname(os.path.realpath(cc)),
-                     ".simcheck-cache"))
-
-    tus = load_compile_commands(cc, root)
-    ana = Analysis(root, tus, scope, max(1, args.jobs),
-                   Cache(cache_dir), frontend,
-                   typecheck=not args.no_typecheck)
+    frontend = "clang" if clang_frontend.available() else "lex"
+    ana = Analysis(root, load_compile_commands(cc, root), frontend)
     if not ana.tus:
-        print(f"simcheck: no TUs under {', '.join(scope)} in {cc}",
+        print(f"simcheck: no TUs under {', '.join(SCOPE)} in {cc}",
               file=sys.stderr)
         return 2
     ana.scan_all()
-    findings = ana.findings()
-
-    baseline_path = args.baseline or os.path.join(
-        root, "tools", "simcheck", "baseline.json")
-    allows = collect_allows(ana.texts)
-    budgets = parse_budgets(args.allow_budget)
-    live, waived, used, budget_errors, stale = apply_waivers(
-        findings, allows, load_baseline(baseline_path), budgets)
-
-    if args.write_baseline:
-        write_baseline(baseline_path, [f for f in findings
-                                       if (f, "allow") not in waived])
-        print(f"simcheck: baseline rewritten: {baseline_path}")
-        return 0
+    live, used, budget_errors = apply_waivers(ana.findings(),
+                                              collect_allows(ana.texts))
 
     for f in live:
         print(f)
     for e in budget_errors:
         print(f"simcheck: ERROR: {e}")
-    for rule, file_ in stale:
-        print(f"simcheck: warning: stale baseline entry "
-              f"{rule} in {file_} (debt repaid — remove it)")
     for n in ana.notes:
         print(f"simcheck: note: {n}", file=sys.stderr)
 
-    if args.json_out:
-        with open(args.json_out, "w", encoding="utf-8") as f:
-            json.dump({"version": __version__, "frontend": frontend,
-                       "findings": [
-                           {"rule": x.rule, "file": x.file,
-                            "line": x.line, "message": x.message}
-                           for x in live]}, f, indent=2)
-            f.write("\n")
-    if args.sarif_out:
-        with open(args.sarif_out, "w", encoding="utf-8") as f:
-            json.dump(to_sarif(live), f, indent=2)
-            f.write("\n")
-
     if not args.quiet:
-        n_allow = sum(1 for _, why in waived if why == "allow")
-        n_base = sum(1 for _, why in waived if why == "baseline")
-        remaining = ", ".join(
-            f"{r}={budgets.get(r, DEFAULT_ALLOW_BUDGET) - used.get(r, 0)}"
-            for r in rules.RULES)
+        remaining = ", ".join(f"{r}={ALLOW_BUDGET - used.get(r, 0)}"
+                              for r in rules.RULES)
         print(f"simcheck[{frontend}]: {len(ana.scans)} files, "
               f"{len(ana.tus)} TUs; {len(live)} finding(s), "
-              f"{n_allow} waived by allows, {n_base} by baseline; "
-              f"allow budget remaining: {remaining}")
+              f"{sum(used.values())} waived by allows; allow budget "
+              f"remaining: {remaining}")
     return 1 if (live or budget_errors) else 0
 
 

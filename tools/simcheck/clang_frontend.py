@@ -3,22 +3,20 @@
 When the Python bindings (`clang.cindex`, installed in CI via the
 `libclang` pip wheel) are importable, simcheck parses every TU from
 `compile_commands.json` with a real compiler frontend.  This module
-then contributes what the lexical fallback cannot:
-
-  * per-TU *diagnostics* — the "type-check every TU" guarantee with
-    real template instantiation, not just -fsyntax-only;
-  * *canonical-type* declaration tables: variables and functions whose
-    type resolves to Tick/Bytes/BytesPerSec or std::unordered_*
-    through any chain of using/typedef/auto, and Coro<> signatures
-    with exact parameter kinds.
+then contributes what the lexical fallback cannot: *canonical-type*
+declaration tables — variables and functions whose type resolves to
+Tick/Bytes/BytesPerSec or std::unordered_* through any chain of
+using/typedef/auto, and Coro<> signatures with exact parameter kinds.
+Compile errors are the build's business, not this module's.
 
 The candidate *sites* (spawn calls, `.count()` arithmetic, range-for
-iteration, includes, mutable statics) come from the shared lexical
-scan in both modes — one detection codepath, two sources of type
-truth.  The clang tables are merged *over* the lexical ones, so clang
-mode sees strictly more resolution power while the fixture suite
-(which sticks to alias chains both frontends resolve) produces
-identical counts under either — CI asserts that parity.
+iteration, includes, mutable statics, token-rule hits) come from the
+shared lexical scan in both modes — one detection codepath, two
+sources of type truth.  The clang tables are merged *over* the
+lexical ones, so clang mode sees strictly more resolution power
+while the fixture suite (which sticks to alias chains both frontends
+resolve) produces identical counts under either — CI asserts that
+parity.
 
 Everything here is defensive: any per-TU failure degrades to the
 lexical tables for that TU and is reported as a note, never a crash.
@@ -33,8 +31,6 @@ try:
 except Exception:  # pragma: no cover - exercised only without clang
     _cx = None
     _HAVE = False
-
-from .facts import FACT_TYPE_ERROR, fact
 
 _STRONG_CANON = re.compile(r"::(Tick|Bytes|BytesPerSec)\b")
 _UNORDERED_CANON = re.compile(
@@ -85,17 +81,16 @@ def _strong_name(ctype):
 
 
 def analyze_tu(tu_path, args, repo_root):
-    """Parse one TU; return clang-derived tables and diagnostics.
+    """Parse one TU; return clang-derived declaration tables.
 
     Returns a dict:
-      type_errors     : FACT_TYPE_ERROR facts (error+ diagnostics)
       strong_vars     : {name: Tick|Bytes|BytesPerSec}
       strong_ret_fns  : {name: type}
       unordered_names : {name: 1} vars whose canonical type is unordered
       coro_sigs       : {name: [param kinds]}
       note            : '' or a degradation note (parse failure)
     """
-    out = {"type_errors": [], "strong_vars": {}, "strong_ret_fns": {},
+    out = {"strong_vars": {}, "strong_ret_fns": {},
            "unordered_names": {}, "coro_sigs": {}, "note": ""}
     try:
         index = _cx.Index.create()
@@ -105,15 +100,6 @@ def analyze_tu(tu_path, args, repo_root):
         return out
 
     root = os.path.realpath(repo_root)
-    for d in tu.diagnostics:
-        if d.severity < _cx.Diagnostic.Error:
-            continue
-        loc = d.location
-        rel = _rel(loc.file.name, root) if loc.file else None
-        out["type_errors"].append(fact(
-            FACT_TYPE_ERROR, rel or os.path.basename(tu_path),
-            loc.line or 1, message=d.spelling))
-
     ck = _cx.CursorKind
     try:
         for cur in tu.cursor.walk_preorder():

@@ -1,4 +1,4 @@
-"""Minimal C++ lexical layer for the simcheck fallback frontend.
+"""Minimal C++ lexical layer for simcheck's lexical frontend.
 
 This is NOT a parser.  It provides exactly what the lexical frontend
 needs and nothing more:
@@ -8,16 +8,16 @@ needs and nothing more:
     raw string literals (``R"delim(...)delim"``, whose bodies may
     contain unbalanced quotes) and digit separators (``1'000'000``),
     both of which flip naive quote-state machines into classifying
-    string text as code (the simlint unordered-iter false-positive
-    class fixed in this PR).
+    string text as code and reporting phantom findings in it.
   * `Tok` / `tokenize()` — identifiers, numbers and punctuators with
     line numbers, for the handful of token-context checks the rules
     need (what operator neighbours a `.count()` call, where a balanced
     paren group ends, ...).
   * small navigation helpers over the token stream.
 
-The libclang frontend never touches this module; fidelity here only
-bounds what the fallback frontend can see.
+Both frontends take their candidate sites and token-rule hits from
+the lexical scan built on this module; libclang only refines the type
+tables, so fidelity here bounds what either frontend can see.
 """
 
 import re
@@ -234,7 +234,3 @@ def split_top_commas(toks, lo, hi):
     if start < hi:
         ranges.append((start, hi))
     return ranges
-
-
-def text_of(toks, lo, hi):
-    return " ".join(t.text for t in toks[lo:hi])

@@ -8,10 +8,9 @@ frontend simply produces more *accurate* facts (real types through
 typedefs, `auto` and templates); the fallback documents its fidelity
 limits in `lex_frontend.py`.
 
-All facts are plain dicts (JSON-serializable, so per-file fact sets
-can be cached by content hash).  Every fact carries:
+All facts are plain dicts.  Every fact carries:
 
-    kind : one of the FACT_* constants
+    kind : one of the FACT_* constants, or a token rule's name
     file : repo-relative path of the file the fact was observed in
     line : 1-based line number
 
@@ -46,30 +45,17 @@ FACT_CORO_FN = "coro-fn"
 #                    capture list entry
 FACT_SPAWN = "spawn"
 
-# Raw-representation arithmetic on a strong type: a `.count()` call on
-# a Tick/Bytes/BytesPerSec expression whose result is an operand of
-# integer arithmetic (+ - * / % & | ^, or a compound assignment).
-# Casts (`static_cast<double>(t.count())`), call arguments and stream
-# output are NOT facts — the rule targets unit-erasing integer math,
-# not formatting.  Payload: `recv` (receiver text), `op`.
-FACT_RAW_REP_ARITH = "raw-rep-arith"
-
-# Mutable static-storage state: a namespace-scope variable or a
-# function-local `static` that is neither const/constexpr nor one of
-# the sanctioned stats wrappers.  Payload: `name`, `type` (text),
-# `scope` ('namespace'|'function-static').
+# Mutable static-storage state: a namespace-scope variable (with or
+# without `static`), a static data member or a function-local
+# `static` that is neither const/constexpr nor one of the sanctioned
+# stats wrappers.  Payload: `name`, `type` (text), `scope`
+# ('namespace'|'function-static').
 FACT_MUTABLE_STATIC = "mutable-static"
 
-# Iteration over a container whose *type* resolves to std::unordered_*
-# (through using/typedef/auto chains).  Payload: `name`, `via`
-# ('range-for'|'begin').  Spelled-out iteration is simlint's job; this
-# fact captures what the regex cannot see.
-FACT_UNORDERED_ITER = "unordered-iter"
-
-# A frontend-detected type error in a TU (libclang diagnostic of
-# severity >= error, or a g++ -fsyntax-only failure).  Payload:
-# `message`.
-FACT_TYPE_ERROR = "type-error"
+# Token-rule hit: a line of stripped code (comments and literal
+# bodies blanked) that matches one of lex_frontend.TOKEN_PATTERNS.
+# The fact's kind is the rule's own name (wall-clock, raw-random,
+# raw-new, float-tick, raw-stdout, raw-thread); no payload.
 
 
 def fact(kind, file, line, **payload):

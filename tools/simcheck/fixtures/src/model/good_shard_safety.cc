@@ -9,6 +9,13 @@ namespace model {
 
 constexpr std::uint64_t kWindow = 16;   // immutable: fine
 static const std::uint64_t kSeed = 42;  // const static: fine
+const std::uint64_t kBurst = 4;         // const: fine
+extern std::uint64_t externalTotal;     // declaration only: fine
+std::uint64_t helper(std::uint64_t x);  // function declaration: fine
+struct Window {                         // type definition: fine
+  std::uint64_t lo = 0;
+};
+sim::stats::Counter namespaceHits;      // sanctioned wrapper: fine
 
 // Point lookups in a hash map are order-independent — only
 // *iteration* is flagged.
@@ -32,6 +39,7 @@ std::uint64_t totalSorted(const SortedMap &ordered) {
 std::uint64_t hits() {
   static sim::stats::Counter counter;  // sanctioned wrapper: fine
   counter.add(1);
+  namespaceHits.add(kBurst);
   return counter.value();
 }
 

@@ -9,8 +9,9 @@ namespace model {
 
 void report(sim::Tick t, sim::Bytes b, sim::Bytes unit) {
   double secs = static_cast<double>(t.count());
-  std::printf("%llu %f\n",
-              static_cast<unsigned long long>(b.count()), secs);
+  char line[64];
+  std::snprintf(line, sizeof(line), "%llu %f\n",
+                static_cast<unsigned long long>(b.count()), secs);
   std::uint64_t frames = sim::divCeil(b, unit);
   (void)frames;
 }

@@ -1,17 +1,19 @@
-"""Lexical fallback frontend for simcheck.
+"""Lexical frontend for simcheck.
 
-Used when the Python libclang bindings are unavailable (the minimal
-dev container has no clang at all).  It reduces each project file to
-the same fact stream the libclang frontend produces, from a token
-scan with lightweight structure tracking:
+It reduces each project file to facts and declaration tables from a
+token scan with lightweight structure tracking.  It runs in both
+modes: it is the whole analysis when the Python libclang bindings are
+unavailable (the minimal dev container has no clang at all), and it
+supplies every candidate site when they are.  It tracks:
 
+  * per-line token-rule hits (TOKEN_PATTERNS),
   * brace regions classified as namespace / class / function bodies,
   * per-function local and value-parameter tables,
   * cross-file declaration tables (coroutine signatures, functions
     returning strong types, variables of strong / unordered type,
     type aliases), merged by the driver before facts are finalized.
 
-Fidelity limits (the libclang frontend has none of these):
+Fidelity limits of its tables (libclang's have none of these):
   * name-based, unqualified symbol resolution — two coroutines with
     the same name and different signatures are merged conservatively
     (a parameter counts as by-reference only if every visible
@@ -30,10 +32,8 @@ import re
 from . import cxxlex
 from .facts import (
     FACT_CORO_FN,
-    FACT_INCLUDE,
     FACT_MUTABLE_STATIC,
     FACT_SPAWN,
-    FACT_UNORDERED_ITER,
     fact,
 )
 
@@ -51,6 +51,73 @@ _ORDERED_HEADS = {
 }
 SANCTIONED_STATIC_RE = re.compile(
     r"\bstats\s*::\s*(?:Counter|Accumulator)\b")
+
+# Token rules: constructs that break bit-identical replay wherever
+# they appear, so a regex over one line of stripped code (comments
+# and literal bodies blanked) is the whole check.  rules.py scopes
+# them to src/ and names each rule's exempt files.
+WALL_CLOCK_RE = re.compile(
+    r"(?:\bstd::chrono::(?:system|steady|high_resolution)_clock\b"
+    r"|(?<![\w:])(?:std::)?(?:time|clock|gettimeofday|clock_gettime"
+    r"|localtime|gmtime|mktime)\s*\()"
+)
+RAW_RANDOM_RE = re.compile(
+    r"(?<![\w:])(?:std::)?(?:rand|srand|rand_r|drand48)\s*\("
+    r"|\bstd::(?:random_device|mt19937(?:_64)?|minstd_rand0?"
+    r"|default_random_engine|ranlux\w+|knuth_b)\b"
+)
+# An allocating `new`: keyword followed by a type, once placement new
+# (`::new (...)` / `new (ptr) T`), `= delete` and `operator new`
+# declarations are blanked.
+RAW_NEW_RE = re.compile(r"(?<![\w:])new\s+[A-Za-z_:][\w:<>, ]*[\[({;]?")
+RAW_DELETE_RE = re.compile(r"(?<![\w:])delete(?:\s*\[\s*\])?\s+[A-Za-z_:*(]")
+_NOT_ALLOCATION_RES = (
+    re.compile(r"::\s*new\s*\(|new\s*\(\s*[a-z_]\w*\s*\)"),
+    re.compile(r"=\s*delete\b"),
+    re.compile(r"\boperator\s+(?:new|delete)\b"),
+)
+FLOAT_TICK_RE = re.compile(
+    r"static_cast<\s*(?:ioat::)?(?:sim::)?Tick\s*>"
+    r"|\bTick\s*\{\s*static_cast<"
+    r"|\bTick\s*\(\s*static_cast<"
+)
+# Console I/O: stream objects or a printf-family *call*.  The
+# lookbehind keeps formatting helpers (strprintf, vsnprintf) and
+# member calls (sink.printf / sink->printf) from matching.
+RAW_STDOUT_RE = re.compile(
+    r"\bstd::(?:cout|cerr|clog)\b"
+    r"|(?<![\w:.>])(?:std::)?(?:printf|fprintf|vprintf|vfprintf"
+    r"|puts|fputs|putchar|fputc|putc)\s*\("
+)
+# Real concurrency primitives.  thread_local is keyword-matched;
+# everything else is the std:: vocabulary (std::thread::id and
+# member uses still contain the flagged token, which is the point).
+RAW_THREAD_RE = re.compile(
+    r"\bstd::(?:jthread|thread|timed_mutex|recursive_mutex"
+    r"|shared_mutex|mutex|condition_variable_any|condition_variable"
+    r"|atomic_flag|atomic_ref|atomic|lock_guard|unique_lock"
+    r"|scoped_lock|shared_lock|counting_semaphore|binary_semaphore"
+    r"|stop_token|barrier|latch|future|shared_future|promise|async)\b"
+    r"|\bthread_local\b"
+)
+
+
+def _raw_new(line):
+    if "new" not in line and "delete" not in line:
+        return None
+    for r in _NOT_ALLOCATION_RES:
+        line = r.sub(" ", line)
+    return RAW_NEW_RE.search(line) or RAW_DELETE_RE.search(line)
+
+
+TOKEN_PATTERNS = (
+    ("wall-clock", WALL_CLOCK_RE.search),
+    ("raw-random", RAW_RANDOM_RE.search),
+    ("raw-new", _raw_new),
+    ("float-tick", FLOAT_TICK_RE.search),
+    ("raw-stdout", RAW_STDOUT_RE.search),
+    ("raw-thread", RAW_THREAD_RE.search),
+)
 
 _TYPE_HEAD_SKIP = {
     "const", "constexpr", "constinit", "inline", "static", "extern",
@@ -364,8 +431,9 @@ def _classify_arg(toks, lo, hi, locals_):
 def scan_file(rel, text):
     """Reduce one file to facts + cross-file declaration tables.
 
-    Returns a JSON-serializable dict:
-      facts            : finalized facts (includes, mutable statics)
+    Returns a dict:
+      facts            : finalized facts (mutable statics, token-rule
+                         hits)
       coro_fns         : FACT_CORO_FN facts (also merged into tables)
       spawns           : FACT_SPAWN facts with unresolved callee names
       count_calls      : candidate .count() arithmetic sites
@@ -405,9 +473,14 @@ def scan_file(rel, text):
             out["raw_includes"].append(
                 (lineno, m.group(2), m.group(1) == '"'))
 
+    for lineno, line in enumerate(code_lines, start=1):
+        for rule, hit in TOKEN_PATTERNS:
+            if hit(line):
+                out["facts"].append(fact(rule, rel, lineno))
+
     _scan_aliases(toks, out)
     _scan_typed_decls(toks, regions, out)
-    _scan_statics(toks, regions, fn_regions, rel, out)
+    _scan_statics(toks, regions, code_lines, rel, out)
     _scan_coro_fns(toks, fn_regions, regions, rel, out)
     _scan_spawns(toks, fn_regions, rel, out)
     _scan_count_calls(toks, rel, out)
@@ -510,15 +583,56 @@ def _scan_typed_decls(toks, regions, out):
         i += 1
 
 
-def _scan_statics(toks, regions, fn_regions, rel, out):
-    """Mutable static-storage declarations (shard-safety rule 3)."""
-    n = len(toks)
+_IMMUTABLE = {"constexpr", "const", "constinit", "assert"}
+# Heads at namespace scope that declare no variable of their own, or
+# one _scan_statics already reaches through `static`.
+_NOT_A_NAMESPACE_VAR = {
+    "static", "extern", "using", "typedef", "namespace", "template",
+    "class", "struct", "union", "enum", "operator", "friend",
+}
+
+
+def _namespace_heads(toks, regions, code_lines):
+    """Start indices of declarations directly at namespace scope: the
+    first token (a name, `::` or an attribute's `[`) after a `;`, `{`,
+    `}` or preprocessor line that no parenthesis or class, function or
+    initializer brace region encloses."""
+    pp_lines = {ln for ln, text in enumerate(code_lines, start=1)
+                if text.lstrip().startswith("#")}
+    depth = [0] * (len(toks) + 1)
+    for r in regions:
+        if r.label != "namespace":
+            depth[r.open + 1] += 1
+            depth[r.close] -= 1
+    inside = parens = 0
+    starts = []
     for i, t in enumerate(toks):
-        if t.text != "static":
+        inside += depth[i]
+        if t.text == "(":
+            parens += 1
+        elif t.text == ")" and parens:
+            parens -= 1
+        if inside or parens or t.line in pp_lines or \
+                not (t.kind == "ident" or t.text in ("::", "[")):
             continue
-        scope = _enclosing_scope(regions, i)
+        if i == 0 or toks[i - 1].text in (";", "{", "}") or \
+                toks[i - 1].line in pp_lines:
+            starts.append(i)
+    return starts
+
+
+def _scan_statics(toks, regions, code_lines, rel, out):
+    """Mutable static-storage declarations (shard-safety rule 3):
+    anything spelled `static`, at any scope, plus every namespace-scope
+    variable, which has static storage without the keyword."""
+    n = len(toks)
+    starts = [(i + 1, t.line, _enclosing_scope(regions, i), True)
+              for i, t in enumerate(toks) if t.text == "static"]
+    starts += [(i, toks[i].line, "namespace", False)
+               for i in _namespace_heads(toks, regions, code_lines)]
+    for lo, line, scope, spelled_static in starts:
         # Gather the declaration head up to = { ; (
-        j = i + 1
+        j = lo
         head = []
         while j < n and toks[j].text not in ("=", ";", "(", "{"):
             head.append(toks[j].text)
@@ -529,11 +643,19 @@ def _scan_statics(toks, regions, fn_regions, rel, out):
         head_text = " ".join(head)
         if terminator == "(":
             continue  # static member/free function
-        if any(k in head for k in
-               ("constexpr", "const", "constinit", "assert")):
+        if _IMMUTABLE & set(head):
             continue
         if SANCTIONED_STATIC_RE.search(head_text):
             continue
+        if not spelled_static:
+            # Without the keyword a variable needs a type and a name,
+            # and the name ends the head (`int n`, `T *p`, `int a[4]`).
+            while head and head[-1] == "]" and "[" in head:
+                head = head[:len(head) - 1 - head[::-1].index("[")]
+            if len(head) < 2 or _NOT_A_NAMESPACE_VAR & set(head) or \
+                    not re.match(r"[A-Za-z_]\w*$", head[-1]) or \
+                    head[-1] in _STMT_KEYWORDS:
+                continue
         name = ""
         for h in reversed(head):
             if re.match(r"[A-Za-z_]\w*$", h):
@@ -542,8 +664,7 @@ def _scan_statics(toks, regions, fn_regions, rel, out):
         if not name:
             continue
         out["facts"].append(fact(
-            FACT_MUTABLE_STATIC, rel, t.line, name=name,
-            type=head_text,
+            FACT_MUTABLE_STATIC, rel, line, name=name, type=head_text,
             scope="function-static" if scope == "function"
             else "namespace"))
 
@@ -814,8 +935,10 @@ def _scan_iter_sites(toks, rel, out):
                     out["iter_sites"].append({
                         "file": rel, "line": t.line,
                         "name": tail[-1].text, "via": "range-for"})
-            i = close
-            continue
+                i = close
+                continue
+            # A classic `for (init; cond; step)` header: scan it for
+            # begin()/cbegin() like any other code.
         if t.text in ("begin", "cbegin") and i >= 2 and \
                 toks[i - 1].text in (".", "->") and \
                 toks[i - 2].kind == "ident" and i + 1 < n and \

@@ -45,11 +45,14 @@ Rule catalog (DESIGN.md §10 is the narrative version):
                   static data members, function-local statics) would
                   leak from one Simulation into the next unless it is
                   one of the sanctioned stats types
-                  (sim::stats::Counter/Accumulator).
-                  Also: iteration over a container whose *type*
-                  resolves to std::unordered_* through aliases or
-                  auto — the spelled-out case is simlint's, the typed
-                  case is ours.
+                  (sim::stats::Counter/Accumulator).  A namespace-scope
+                  variable has static storage with or without the
+                  `static` keyword.
+                  Also: iteration (range-for or begin()/cbegin(), in a
+                  classic for header too) over a container whose type
+                  resolves to std::unordered_*, spelled out or through
+                  aliases — hash order is libstdc++- and
+                  address-dependent.  Lookups (find/at/[]) are fine.
 
   layering        Include-graph architecture rules:
                   * bench/ and examples/ must not include
@@ -67,19 +70,71 @@ Rule catalog (DESIGN.md §10 is the narrative version):
                     in reqtrace.hh; only the bench/test harness
                     attaches the concrete profiler.
 
-  typecheck       Every TU must type-check (libclang diagnostics, or
-                  g++ -fsyntax-only in fallback mode).
+Token rules, over src/ only — one regex per line of stripped code
+(lex_frontend.TOKEN_PATTERNS), each exempting the files that ARE
+the sanctioned implementation of its subject:
+
+  wall-clock      no time()/gettimeofday()/clock_gettime()/
+                  std::chrono::*_clock: simulated time comes from the
+                  event queue, never from the host.
+  raw-random      no rand()/srand()/std::random_device/std::mt19937
+                  outside src/simcore/random.hh: all randomness flows
+                  from the seeded simulator Rng.
+  raw-new         no raw new/delete outside src/simcore/pool.hh: heap
+                  traffic goes through the arenas so allocation cost
+                  and recycling stay modeled and leak-checkable.
+                  Placement new (::new (ptr)) is allowed.
+  float-tick      no ad-hoc float->Tick conversion outside
+                  src/simcore/types.hh: casts like
+                  static_cast<Tick>(double) truncate differently
+                  depending on intermediate precision.  The one
+                  audited door is sim::ticksFromDouble().
+  raw-stdout      no std::cout/cerr/clog or printf-family writes
+                  outside src/simcore/assert.hh (panics): model output
+                  flows through the telemetry registry / RunReport /
+                  sim::Table so every run artifact is machine-readable
+                  and diffable.  String *formatting* (strprintf,
+                  vsnprintf) is fine.
+  raw-thread      no std::thread/mutex/condition_variable/atomic,
+                  thread_local, locks or futures outside src/simcore/:
+                  model code is single-threaded, and Simulations in
+                  one process share no state, so a run's results
+                  cannot depend on thread timing.
 """
 
-from .facts import (
-    FACT_INCLUDE,
-    FACT_MUTABLE_STATIC,
-    FACT_SPAWN,
-    FACT_TYPE_ERROR,
-)
+from .facts import FACT_MUTABLE_STATIC
 
-RULES = ("coro-lifetime", "strong-type", "shard-safety", "layering",
-         "typecheck")
+# rule -> (exempt path prefixes, message)
+TOKEN_RULES = {
+    "wall-clock": (
+        (), "host clock access; simulated time must come from "
+            "Simulation::now()"),
+    "raw-random": (
+        ("src/simcore/random.hh",),
+        "ambient RNG; use the seeded sim::Rng from "
+        "src/simcore/random.hh"),
+    "raw-new": (
+        ("src/simcore/pool.hh",),
+        "raw heap traffic; allocate through the arenas in "
+        "src/simcore/pool.hh (or std::make_unique for owner-managed "
+        "objects)"),
+    "float-tick": (
+        ("src/simcore/types.hh",),
+        "ad-hoc float->Tick conversion; the audited door is "
+        "sim::ticksFromDouble()"),
+    "raw-stdout": (
+        ("src/simcore/assert.hh",),
+        "raw console I/O; emit run artifacts through the telemetry "
+        "registry / RunReport / sim::Table"),
+    "raw-thread": (
+        ("src/simcore/",),
+        "raw threading primitive; model code is single-threaded and "
+        "Simulations share no state — engine-level threading lives "
+        "only in src/simcore/"),
+}
+
+RULES = ("coro-lifetime", "strong-type", "shard-safety",
+         "layering") + tuple(TOKEN_RULES)
 
 STRONG_TYPE_TRUSTED_PREFIX = "src/simcore/"
 
@@ -242,10 +297,11 @@ def check_strong_type(count_calls, strong_vars, strong_ret_fns):
     return findings
 
 
-def check_shard_safety(statics, iter_sites, unordered_names):
+def check_shard_safety(facts, iter_sites, unordered_names):
     findings = []
-    for f in statics:
-        if f["file"].startswith("src/simcore/"):
+    for f in facts:
+        if f["kind"] != FACT_MUTABLE_STATIC or \
+                f["file"].startswith("src/simcore/"):
             continue
         where = ("function-local static"
                  if f["scope"] == "function-static"
@@ -262,11 +318,18 @@ def check_shard_safety(statics, iter_sites, unordered_names):
                 "shard-safety", s["file"], s["line"],
                 f"iteration over '{s['name']}' whose type resolves to "
                 f"std::unordered_*; hash order is host-dependent — "
-                f"use std::map/vector or sort first (typed analog of "
-                f"simlint unordered-iter)"))
+                f"use std::map/vector or sort first"))
     return findings
 
 
-def check_typecheck(type_errors):
-    return [Finding("typecheck", f["file"], f["line"], f["message"])
-            for f in type_errors]
+def check_tokens(facts):
+    findings = []
+    for f in facts:
+        rule = TOKEN_RULES.get(f["kind"])
+        if rule is None or not f["file"].startswith("src/"):
+            continue
+        exempt, message = rule
+        if not f["file"].startswith(exempt):
+            findings.append(Finding(f["kind"], f["file"], f["line"],
+                                    message))
+    return findings

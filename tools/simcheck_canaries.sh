@@ -2,13 +2,8 @@
 # Proof that the simcheck gate actually gates: inject one violation
 # per rule family into REAL sources, assert `tools/simcheck` exits
 # non-zero, restore the file, and finish with a clean run.  CI runs
-# this after the baseline-gated tree analysis; a rule that stops
-# firing on live code fails the job even if the fixtures still pass.
-#
-# The canary runs use --no-typecheck: every injected snippet is
-# well-formed C++ on purpose (an ill-formed one would trip the
-# `typecheck` rule instead and prove nothing about its family), and
-# skipping the g++ -fsyntax-only pass keeps the four runs fast.
+# this after the tree analysis; a rule that stops firing on live code
+# fails the job even if the fixtures still pass.
 #
 # Usage: tools/simcheck_canaries.sh [compile_commands.json]
 set -eu
@@ -25,16 +20,16 @@ tmp=$(mktemp -d)
 trap 'rm -rf "$tmp"' EXIT
 
 simcheck() {
-    python3 tools/simcheck -q --no-typecheck --cache-dir "$tmp/cache" \
-        -p "$cc" "$@"
+    python3 tools/simcheck -q -p "$cc"
 }
 
 backup()  { cp "$1" "$tmp/orig"; }
 restore() { cp "$tmp/orig" "$1"; }
 
 # The mutation must have changed the file, and the changed tree must
-# fail the gate.  A no-op mutation means the source drifted and the
-# canary needs re-anchoring — that is an error, not a pass.
+# fail the gate with a finding of the canary's rule.  A no-op mutation
+# means the source drifted and the canary needs re-anchoring — that is
+# an error, not a pass.
 expect_fail() {
     name=$1
     file=$2
@@ -42,8 +37,13 @@ expect_fail() {
         echo "canary $name: mutation was a no-op on $file (source drifted; re-anchor the canary)" >&2
         exit 1
     fi
-    if simcheck >/dev/null 2>&1; then
+    if simcheck >"$tmp/out" 2>&1; then
         echo "canary $name: injected violation NOT caught" >&2
+        exit 1
+    fi
+    if ! grep -q "\[$name\]" "$tmp/out"; then
+        echo "canary $name: gate failed without a [$name] finding:" >&2
+        cat "$tmp/out" >&2
         exit 1
     fi
     echo "canary $name: caught"
@@ -75,7 +75,7 @@ restore bench/fig03_bandwidth.cpp
 #     interface header (xpt/bypass.hh) into an xpt/ internal.  The
 #     only other file under src/xpt/ is the implementation TU itself;
 #     textually including it is exactly the dependency the rule bans
-#     (canaries run with --no-typecheck, so this never compiles).
+#     (simcheck reads sources, it never compiles them).
 backup src/sock/socket.hh
 sed -i 's|#include "xpt/bypass.hh"|#include "xpt/bypass.cc"|' \
     src/sock/socket.hh
@@ -109,6 +109,14 @@ EOF
 expect_fail coro-lifetime src/sock/socket.hh
 restore src/sock/socket.hh
 
+# 5. token rules (wall-clock): a host-clock read in model code, the
+#    first thing that would make two runs of one seed disagree.
+backup src/nic/nic.hh
+sed -i 's|/\*\* Frames needed to carry @p payload bytes at the current MTU. \*/|static auto canaryNow() { return std::chrono::steady_clock::now(); }\n    /** Frames needed to carry @p payload bytes at the current MTU. */|' \
+    src/nic/nic.hh
+expect_fail wall-clock src/nic/nic.hh
+restore src/nic/nic.hh
+
 # Restored tree must be clean again.
 simcheck
-echo "simcheck_canaries: all four rule families fire; tree clean after restore"
+echo "simcheck_canaries: all five rule families fire; tree clean after restore"
