@@ -124,10 +124,8 @@ class Node : public sim::telemetry::Instrumented, public sim::Restartable
                                       bus_, dma_.get()},
                             nic_, cfg_.bypass)
                       : nullptr),
-          tcpXport_(stack_),
-          bypXport_(bypass_ ? std::make_unique<sock::BypassTransport>(
-                                  *bypass_)
-                            : nullptr)
+          transport_(bypass_ ? static_cast<tcp::Protocol &>(*bypass_)
+                             : stack_)
     {
         // Named by switch port id, so "node3" is the node whose bursts
         // carry src 3 and whose events run on lane 4.
@@ -174,13 +172,20 @@ class Node : public sim::telemetry::Instrumented, public sim::Restartable
         }
     }
 
-    /** Forward a trace writer to the models that emit trace events. */
+    /**
+     * Forward a trace writer to the models that emit trace events.
+     * They record on this node's own Chrome process ("node3" on pid
+     * 4), so nodes' CPU and DMA tracks never share a lane.
+     */
     void
     attachTracer(sim::TraceWriter *t) override
     {
-        cpu_.setTracer(t);
+        const int pid = static_cast<int>(lane());
+        if (t)
+            t->setProcessName(pid, "node" + std::to_string(id()));
+        cpu_.setTracer(t, pid);
         if (dma_)
-            dma_->setTracer(t);
+            dma_->setTracer(t, pid);
     }
 
     /** @name Crash–restart hooks (sim::Restartable)
@@ -236,13 +241,7 @@ class Node : public sim::telemetry::Instrumented, public sim::Restartable
      * the configured one (kernel TCP or kernel bypass).  Application
      * and bench code written against this never names a transport.
      */
-    sock::Transport &
-    transport()
-    {
-        if (bypXport_)
-            return *bypXport_;
-        return tcpXport_;
-    }
+    sock::Transport &transport() { return transport_; }
 
     /** Non-owning hardware view (for AsyncMemcpy and apps). */
     tcp::Host
@@ -279,8 +278,7 @@ class Node : public sim::telemetry::Instrumented, public sim::Restartable
     nic::Nic nic_;
     tcp::TcpStack stack_;
     std::unique_ptr<xpt::BypassStack> bypass_;
-    sock::TcpTransport tcpXport_;
-    std::unique_ptr<sock::BypassTransport> bypXport_;
+    sock::Transport transport_;
 };
 
 } // namespace ioat::core

@@ -92,7 +92,8 @@ CpuSet::finishOn(unsigned core_idx)
         tracer_->complete(done->highPriority_ ? "softirq" : "app", "cpu",
                           c.runStart, sim_.now() - c.runStart,
                           sim::TraceWriter::Lanes::core0 +
-                              static_cast<int>(core_idx));
+                              static_cast<int>(core_idx),
+                          tracePid_);
     }
     c.running = nullptr;
     --busyCount_;

@@ -55,8 +55,14 @@ class CpuSet
 
     CpuSet(Simulation &sim, const CpuConfig &cfg);
 
-    /** Attach a trace writer (nullptr = tracing off). */
-    void setTracer(sim::TraceWriter *t) { tracer_ = t; }
+    /** Attach a trace writer (nullptr = tracing off); spans land on
+     *  Chrome process @p pid, one track per core. */
+    void
+    setTracer(sim::TraceWriter *t, int pid = 0)
+    {
+        tracer_ = t;
+        tracePid_ = pid;
+    }
 
     Tick preemptionQuantum() const { return quantum_; }
 
@@ -148,6 +154,7 @@ class CpuSet
 
     Simulation &sim_;
     sim::TraceWriter *tracer_ = nullptr;
+    int tracePid_ = 0;
     Tick quantum_;
     std::vector<Core> cores_;
     RunQueue globalHigh_;  ///< interrupt-class, any core

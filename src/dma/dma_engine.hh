@@ -20,6 +20,7 @@
 #ifndef IOAT_DMA_DMA_ENGINE_HH
 #define IOAT_DMA_DMA_ENGINE_HH
 
+#include <bit>
 #include <cstdint>
 #include <functional>
 #include <string>
@@ -78,13 +79,21 @@ class DmaEngine : public sim::telemetry::Instrumented
         : sim_(sim), cfg_(cfg), channels_(sim, cfg.channels)
     {
         sim::simAssert(cfg.channels > 0, "DMA engine needs >= 1 channel");
+        sim::simAssert(cfg.channels <= 32,
+                       "DMA engine supports at most 32 channels");
         sim::simAssert(cfg.rate.valid(), "DMA rate must be positive");
     }
 
     const DmaConfig &config() const { return cfg_; }
 
-    /** Attach a trace writer (nullptr = tracing off). */
-    void setTracer(sim::TraceWriter *t) { tracer_ = t; }
+    /** Attach a trace writer (nullptr = tracing off); transfers land
+     *  on Chrome process @p pid. */
+    void
+    setTracer(sim::TraceWriter *t, int pid = 0)
+    {
+        tracer_ = t;
+        tracePid_ = pid;
+    }
 
     void attachTracer(sim::TraceWriter *t) override { setTracer(t); }
 
@@ -156,6 +165,9 @@ class DmaEngine : public sim::telemetry::Instrumented
         busySignal_.update(sim_.now(),
                            static_cast<double>(cfg_.channels -
                                                channels_.available()));
+        // The lowest idle channel; it names the transfer's trace lane.
+        const int channel = std::countr_one(busyChannels_);
+        busyChannels_ |= 1u << channel;
         const Tick start = sim_.now();
         co_await sim_.delay(engineTime(bytes));
         if (faultSite_) {
@@ -178,7 +190,8 @@ class DmaEngine : public sim::telemetry::Instrumented
         if (tracer_) {
             tracer_->complete("dma " + std::to_string(bytes) + "B",
                               "dma", start, sim_.now() - start,
-                              sim::TraceWriter::Lanes::dma);
+                              sim::TraceWriter::Lanes::dma + channel,
+                              tracePid_);
         }
         if (ctx.valid()) {
             // Channel queueing before acquire stays unattributed (it
@@ -190,6 +203,7 @@ class DmaEngine : public sim::telemetry::Instrumented
         }
         transfers_.inc();
         bytesCopied_.inc(bytes);
+        busyChannels_ &= ~(1u << channel);
         channels_.release();
         busySignal_.update(sim_.now(),
                            static_cast<double>(cfg_.channels -
@@ -266,6 +280,9 @@ class DmaEngine : public sim::telemetry::Instrumented
     Simulation &sim_;
     DmaConfig cfg_;
     sim::TraceWriter *tracer_ = nullptr;
+    int tracePid_ = 0;
+    /** Bit i set while channel i moves data. */
+    std::uint32_t busyChannels_ = 0;
     sim::FaultSite *faultSite_ = nullptr;
     sim::Semaphore channels_;
     sim::stats::Counter transfers_;

@@ -37,6 +37,7 @@
 #include <fstream>
 #include <initializer_list>
 #include <ostream>
+#include <span>
 #include <string>
 #include <type_traits>
 #include <utility>
@@ -290,7 +291,7 @@ class RequestTracer : public telemetry::Instrumented
      */
     void
     recordComponents(TraceContext parent, Tick at, int lane,
-                     std::initializer_list<Component> parts)
+                     std::span<const Component> parts)
     {
         Tick cursor = at;
         for (const auto &p : parts) {
@@ -302,6 +303,14 @@ class RequestTracer : public telemetry::Instrumented
         }
     }
 
+    void
+    recordComponents(TraceContext parent, Tick at, int lane,
+                     std::initializer_list<Component> parts)
+    {
+        recordComponents(parent, at, lane,
+                         std::span(parts.begin(), parts.size()));
+    }
+
     /**
      * Attribute one `cpu.compute()` call that ran over [t0, t1]: the
      * busy time (sum of @p parts) occupies the tail of the interval;
@@ -311,7 +320,7 @@ class RequestTracer : public telemetry::Instrumented
      */
     void
     recordComputeSplit(TraceContext parent, Tick t0, Tick t1,
-                       std::initializer_list<Component> parts,
+                       std::span<const Component> parts,
                        int lane = kRequestLane)
     {
         if (!liveRequest(parent))
@@ -326,6 +335,15 @@ class RequestTracer : public telemetry::Instrumented
             record(parent, "queue", CostCat::queueWait, t0, busy_start,
                    lane);
         recordComponents(parent, busy_start, lane, parts);
+    }
+
+    void
+    recordComputeSplit(TraceContext parent, Tick t0, Tick t1,
+                       std::initializer_list<Component> parts,
+                       int lane = kRequestLane)
+    {
+        recordComputeSplit(parent, t0, t1,
+                           std::span(parts.begin(), parts.size()), lane);
     }
     /** @} */
 

@@ -158,9 +158,12 @@ class TraceWriter
             os << "  {\"name\":\"" << jsonEscape(e.name)
                << "\",\"cat\":\"" << jsonEscape(e.category)
                << "\",\"ph\":\"" << phase(e.kind)
-               << "\",\"ts\":" << toMicroseconds(e.start);
-            if (e.kind == Kind::Complete)
-                os << ",\"dur\":" << toMicroseconds(e.duration);
+               << "\",\"ts\":";
+            writeMicroseconds(os, e.start);
+            if (e.kind == Kind::Complete) {
+                os << ",\"dur\":";
+                writeMicroseconds(os, e.duration);
+            }
             os << ",\"pid\":" << e.pid << ",\"tid\":" << e.lane;
             if (e.kind == Kind::Instant)
                 os << ",\"s\":\"t\"";
@@ -201,6 +204,27 @@ class TraceWriter
         Kind kind;
         std::uint64_t flowId;
     };
+
+    /**
+     * @p t in microseconds, exact to the tick ("12.345", "12.3", "12"):
+     * a stream's default six significant digits would round spans
+     * late in a run onto each other.
+     */
+    static void
+    writeMicroseconds(std::ostream &os, Tick t)
+    {
+        os << t.count() / 1000;
+        const auto frac = t.count() % 1000;
+        if (frac == 0)
+            return;
+        const char digits[] = {'.', static_cast<char>('0' + frac / 100),
+                               static_cast<char>('0' + frac / 10 % 10),
+                               static_cast<char>('0' + frac % 10)};
+        std::streamsize len = 4;
+        while (digits[len - 1] == '0')
+            --len;
+        os.write(digits, len);
+    }
 
     static const char *
     phase(Kind k)

@@ -3,29 +3,23 @@
  * Socket facade over the transports: the API applications and
  * benchmarks program against.
  *
- * `sock::Socket` wraps a stack-owned stream endpoint — kernel TCP
- * (`tcp::Connection`) or the user-space bypass library
- * (`xpt::Endpoint`) — behind one small value type, and
- * `sock::Listener` wraps passive opens.  `sock::Transport` is the
- * once-per-connection control-path interface (connect/listen); a
- * node exposes one via `core::Node::transport()`.  No transport type
- * appears in this facade's public signatures: callers never name
- * `tcp::` or `xpt::` internals.
+ * Both transports run one connection protocol (tcp/protocol.hh) under
+ * two cost models, so `sock::Socket` wraps one stack-owned
+ * `tcp::Connection` whichever transport made it, and `sock::Listener`
+ * one `tcp::Listener`.  `sock::Transport` is the once-per-connection
+ * control path (connect/listen) over a node's stack; a node exposes
+ * one via `core::Node::transport()`.  No transport type appears in
+ * this facade's public signatures: callers never name `tcp::` or
+ * `xpt::` internals.
  *
- * Devirtualization rule (the transport-interface contract, DESIGN.md
- * §11): `Transport` is virtual because it runs once per connection.
- * The data-path members (sendAll, recv, recvAll) are *not* virtual
- * and *not* coroutines; they branch on which endpoint pointer is set
- * and return the underlying awaitable directly, so
+ * The data-path members (sendAll, recv, recvAll) are not coroutines:
+ * they return the connection's awaitable directly, so
  * `co_await sock.recvAll(n)` compiles to exactly the frames the raw
- * endpoint call would — both transports return identical Coro types
- * by design.  Only connect()/accept() — once per connection — add a
- * frame.
+ * connection call would.  Only connect()/accept() — once per
+ * connection — add a frame.
  *
- * The message-framing helpers (sendMessage/recvMessage/...) that used
- * to live in sock/message.hh as free functions over tcp::Connection&
- * are members here, written against the facade's own forwarders, so
- * they work unchanged on every transport.
+ * The message-framing helpers (sendMessage/recvMessage/...) are
+ * members, written against the facade's own forwarders.
  */
 
 #ifndef IOAT_SOCK_SOCKET_HH
@@ -38,20 +32,17 @@
 #include "simcore/assert.hh"
 #include "simcore/coro.hh"
 #include "sock/types.hh"
-#include "tcp/stack.hh"
-#include "xpt/bypass.hh"
+#include "tcp/protocol.hh"
 
 namespace ioat::sock {
 
 class Transport;
-class TcpTransport;
-class BypassTransport;
 class Listener;
 
 /**
  * Non-owning handle to one established byte-stream connection.
  *
- * Copyable (it is a view); the endpoint object lives in its stack
+ * Copyable (it is a view); the connection lives in its stack
  * until the stack is destroyed.  A default-constructed Socket is
  * invalid; connect()/accept() failures yield a Socket whose
  * `usable()` is false (with `aborted()` holding the typed reason),
@@ -63,7 +54,7 @@ class Socket
     Socket() = default;
 
     /** A connection was ever attached (even if it later failed). */
-    bool valid() const { return tcp_ != nullptr || byp_ != nullptr; }
+    bool valid() const { return conn_ != nullptr; }
 
     /** @name Data path (non-coroutine forwarders; see file header)
      *  @{ */
@@ -78,120 +69,59 @@ class Socket
     sendAll(std::size_t bytes, SendOptions opts = {},
             const MsgMeta *meta = nullptr)
     {
-        if (tcp_)
-            return tcp_->send(bytes, opts, meta);
-        return checkedByp().send(bytes, opts, meta);
+        return checked().send(bytes, opts, meta);
     }
 
     /** Receive up to @p max_bytes; 0 means the peer closed. */
     sim::Coro<std::size_t>
     recv(std::size_t max_bytes, sim::TraceContext ctx = {})
     {
-        if (tcp_)
-            return tcp_->recv(max_bytes, ctx);
-        return checkedByp().recv(max_bytes, ctx);
+        return checked().recv(max_bytes, ctx);
     }
 
     /** Receive exactly @p bytes unless the peer closes first. */
     sim::Coro<std::size_t>
     recvAll(std::size_t bytes, sim::TraceContext ctx = {})
     {
-        if (tcp_)
-            return tcp_->recvAll(bytes, ctx);
-        return checkedByp().recvAll(bytes, ctx);
+        return checked().recvAll(bytes, ctx);
     }
     /** @} */
 
     /** Half-close: the peer's recv() returns 0 after draining. */
-    void
-    close()
-    {
-        if (tcp_)
-            tcp_->close();
-        else
-            checkedByp().close();
-    }
+    void close() { checked().close(); }
 
     /** Locally abort (the simulated close of a stuck socket). */
-    void
-    abort()
-    {
-        if (tcp_)
-            tcp_->abortLocal();
-        else
-            checkedByp().abortLocal();
-    }
+    void abort() { checked().abortLocal(); }
 
     /** @name In-band message metadata
      *  @{ */
-    MsgMeta
-    popMeta()
-    {
-        if (tcp_)
-            return tcp_->popMeta();
-        return checkedByp().popMeta();
-    }
+    MsgMeta popMeta() { return checked().popMeta(); }
     std::size_t
     metaAvailable() const
     {
-        if (tcp_)
-            return tcp_->metaAvailable();
-        return byp_ ? byp_->metaAvailable() : 0;
+        return conn_ ? conn_->metaAvailable() : 0;
     }
     /** @} */
 
     /** @name State
      *  @{ */
-    bool
-    established() const
-    {
-        return tcp_ ? tcp_->established()
-                    : byp_ && byp_->established();
-    }
-    bool
-    aborted() const
-    {
-        return tcp_ ? tcp_->aborted() : byp_ && byp_->aborted();
-    }
-    bool
-    peerClosed() const
-    {
-        return tcp_ ? tcp_->peerClosed() : byp_ && byp_->peerClosed();
-    }
+    bool established() const { return conn_ && conn_->established(); }
+    bool aborted() const { return conn_ && conn_->aborted(); }
+    bool peerClosed() const { return conn_ && conn_->peerClosed(); }
     /** Established, not aborted, peer still open: safe to use. */
-    bool
-    usable() const
-    {
-        return tcp_ ? tcp_->usable() : byp_ && byp_->usable();
-    }
-    std::uint64_t
-    bytesSent() const
-    {
-        return tcp_ ? tcp_->bytesSent() : byp_ ? byp_->bytesSent() : 0;
-    }
+    bool usable() const { return conn_ && conn_->usable(); }
+    std::uint64_t bytesSent() const { return conn_ ? conn_->bytesSent() : 0; }
     std::uint64_t
     bytesReceived() const
     {
-        return tcp_   ? tcp_->bytesReceived()
-               : byp_ ? byp_->bytesReceived()
-                      : 0;
+        return conn_ ? conn_->bytesReceived() : 0;
     }
     /** Transport flow id (keys the telemetry flow table). */
-    std::uint64_t
-    flow() const
-    {
-        return tcp_ ? tcp_->flow() : byp_ ? byp_->flow() : 0;
-    }
+    std::uint64_t flow() const { return conn_ ? conn_->flow() : 0; }
     /** @} */
 
     /** The simulation the connection's stack runs in. */
-    sim::Simulation &
-    simulation()
-    {
-        if (tcp_)
-            return tcp_->simulation();
-        return checkedByp().simulation();
-    }
+    sim::Simulation &simulation() { return checked().simulation(); }
 
     /** @name Message framing (formerly sock/message.hh)
      *  @{ */
@@ -242,23 +172,19 @@ class Socket
     /** @} */
 
   private:
-    friend class TcpTransport;
-    friend class BypassTransport;
+    friend class Transport;
     friend class Listener;
 
-    explicit Socket(tcp::Connection *conn) : tcp_(conn) {}
-    explicit Socket(xpt::Endpoint *ep) : byp_(ep) {}
+    explicit Socket(tcp::Connection *conn) : conn_(conn) {}
 
-    xpt::Endpoint &
-    checkedByp() const
+    tcp::Connection &
+    checked() const
     {
-        sim::simAssert(byp_ != nullptr, "operation on invalid Socket");
-        return *byp_;
+        sim::simAssert(conn_ != nullptr, "operation on invalid Socket");
+        return *conn_;
     }
 
-    /** At most one of these is non-null. */
-    tcp::Connection *tcp_ = nullptr;
-    xpt::Endpoint *byp_ = nullptr;
+    tcp::Connection *conn_ = nullptr;
 };
 
 /**
@@ -277,174 +203,72 @@ class Listener
     /** Convenience: `Listener l(node.transport(), port)`. */
     Listener(Transport &transport, std::uint16_t port);
 
-    /** A transport endpoint is attached; accept() is legal. */
-    bool valid() const { return tcp_ != nullptr || byp_ != nullptr; }
+    /** A transport listener is attached; accept() is legal. */
+    bool valid() const { return inner_ != nullptr; }
 
     /** Awaitable: the next established connection on this port. */
     sim::Coro<Socket> accept();
 
   private:
-    friend class TcpTransport;
-    friend class BypassTransport;
+    friend class Transport;
 
-    explicit Listener(tcp::Listener *inner) : tcp_(inner) {}
-    explicit Listener(xpt::Listener *inner) : byp_(inner) {}
+    explicit Listener(tcp::Listener *inner) : inner_(inner) {}
 
-    tcp::Listener *tcp_ = nullptr;
-    xpt::Listener *byp_ = nullptr;
+    tcp::Listener *inner_ = nullptr;
 };
 
 /**
- * The once-per-connection control path a transport must provide (the
- * transport-interface contract; DESIGN.md §11).  Virtual dispatch is
- * confined to here — the per-byte data path lives in Socket's
- * devirtualized forwarders.
+ * The once-per-connection control path (connect/listen) over one
+ * node's protocol stack, kernel or bypass, plus the stack statistics
+ * benches compare across transports.
  */
 class Transport
 {
   public:
-    virtual ~Transport() = default;
+    explicit Transport(tcp::Protocol &stack) : stack_(stack) {}
 
-    Transport() = default;
     Transport(const Transport &) = delete;
     Transport &operator=(const Transport &) = delete;
 
-    /** Transport name for tables and CLI flags ("tcp", "bypass"). */
-    virtual const char *name() const = 0;
-
     /**
      * Active open to (remote, port).  A nonzero @p timeout bounds
-     * the handshake wait; on failure the returned socket reports
-     * !usable() (never a hang, never a null).
+     * the handshake wait where the stack honours it (DESIGN.md §9);
+     * on failure the returned socket reports !usable() (never a
+     * hang, never a null).
      */
     sim::Coro<Socket>
     connect(net::NodeId remote, std::uint16_t port,
             sim::Tick timeout = sim::Tick{0})
     {
-        return doConnect(remote, port, timeout);
-    }
-
-    /** Passive open; repeated calls on one port share the queue. */
-    virtual Listener listen(std::uint16_t port) = 0;
-
-    /** The simulation this transport's stack runs in. */
-    virtual sim::Simulation &simulation() = 0;
-
-    /** @name Transport-agnostic stack statistics (for benches)
-     *  @{ */
-    virtual std::uint64_t txPayloadBytes() const = 0;
-    virtual std::uint64_t rxPayloadBytes() const = 0;
-    /** Data segments resent by the transport's loss recovery. */
-    virtual std::uint64_t retransmits() const = 0;
-    /** Endpoints that failed after retry exhaustion. */
-    virtual std::uint64_t abortedConnections() const = 0;
-    /** @} */
-
-  protected:
-    virtual sim::Coro<Socket> doConnect(net::NodeId remote,
-                                        std::uint16_t port,
-                                        sim::Tick timeout) = 0;
-};
-
-/** Kernel-TCP transport: adapts tcp::TcpStack to the facade. */
-class TcpTransport final : public Transport
-{
-  public:
-    explicit TcpTransport(tcp::TcpStack &stack) : stack_(stack) {}
-
-    const char *name() const override { return "tcp"; }
-
-    Listener
-    listen(std::uint16_t port) override
-    {
-        return Listener(&stack_.listen(port));
-    }
-
-    sim::Simulation &simulation() override { return stack_.host().sim; }
-
-    std::uint64_t
-    txPayloadBytes() const override
-    {
-        return stack_.txPayloadBytes();
-    }
-    std::uint64_t
-    rxPayloadBytes() const override
-    {
-        return stack_.rxPayloadBytes();
-    }
-    std::uint64_t
-    retransmits() const override
-    {
-        return stack_.retransmits();
-    }
-    std::uint64_t
-    abortedConnections() const override
-    {
-        return stack_.abortedConnections();
-    }
-
-  protected:
-    sim::Coro<Socket>
-    doConnect(net::NodeId remote, std::uint16_t port,
-              sim::Tick timeout) override
-    {
-        tcp::Connection *c =
-            co_await stack_.connect(remote, port, timeout);
+        tcp::Connection *c = co_await stack_.connect(remote, port, timeout);
         co_return Socket(c);
     }
 
-  private:
-    tcp::TcpStack &stack_;
-};
-
-/** Kernel-bypass transport: adapts xpt::BypassStack to the facade. */
-class BypassTransport final : public Transport
-{
-  public:
-    explicit BypassTransport(xpt::BypassStack &stack) : stack_(stack) {}
-
-    const char *name() const override { return "bypass"; }
-
-    Listener
-    listen(std::uint16_t port) override
+    /** Passive open; repeated calls on one port share the queue. */
+    Listener listen(std::uint16_t port)
     {
         return Listener(&stack_.listen(port));
     }
 
-    sim::Simulation &simulation() override { return stack_.host().sim; }
+    /** The simulation this transport's stack runs in. */
+    sim::Simulation &simulation() { return stack_.host().sim; }
 
+    /** @name Transport-agnostic stack statistics (for benches)
+     *  @{ */
+    std::uint64_t txPayloadBytes() const { return stack_.txPayloadBytes(); }
+    std::uint64_t rxPayloadBytes() const { return stack_.rxPayloadBytes(); }
+    /** Data segments resent by the transport's loss recovery. */
+    std::uint64_t retransmits() const { return stack_.retransmits(); }
+    /** Connections that failed after retry exhaustion. */
     std::uint64_t
-    txPayloadBytes() const override
-    {
-        return stack_.txPayloadBytes();
-    }
-    std::uint64_t
-    rxPayloadBytes() const override
-    {
-        return stack_.rxPayloadBytes();
-    }
-    std::uint64_t
-    retransmits() const override
-    {
-        return stack_.retransmits();
-    }
-    std::uint64_t
-    abortedConnections() const override
+    abortedConnections() const
     {
         return stack_.abortedConnections();
     }
-
-  protected:
-    sim::Coro<Socket>
-    doConnect(net::NodeId remote, std::uint16_t port,
-              sim::Tick timeout) override
-    {
-        xpt::Endpoint *e = co_await stack_.connect(remote, port, timeout);
-        co_return Socket(e);
-    }
+    /** @} */
 
   private:
-    xpt::BypassStack &stack_;
+    tcp::Protocol &stack_;
 };
 
 // --------------------------------------------------------------------
@@ -460,12 +284,8 @@ inline sim::Coro<Socket>
 Listener::accept()
 {
     sim::simAssert(valid(), "accept on invalid Listener");
-    if (tcp_) {
-        tcp::Connection *c = co_await tcp_->accept();
-        co_return Socket(c);
-    }
-    xpt::Endpoint *e = co_await byp_->accept();
-    co_return Socket(e);
+    tcp::Connection *c = co_await inner_->accept();
+    co_return Socket(c);
 }
 
 inline sim::Coro<void>

@@ -4,11 +4,9 @@
  * in-band message metadata words, and the message-framing structs the
  * facade's send/recv-message members exchange.
  *
- * These used to live in tcp/stack.hh (SendOptions, MsgMeta) and
- * sock/message.hh (Message, MsgStatus); with more than one transport
- * under the facade they belong to `sock::` proper.  The transports
- * alias them (`tcp::SendOptions` = `sock::SendOptions`) so the wire
- * formats stay shared and the aliases can be retired later.
+ * The connection protocol under the facade (tcp/protocol.hh) takes
+ * these types directly, so the wire formats are shared by every
+ * transport.
  */
 
 #ifndef IOAT_SOCK_TYPES_HH

@@ -1,286 +1,39 @@
 /**
  * @file
- * TcpStack / Connection implementation.
+ * TcpStack implementation: the kernel cost model.
  */
 
 #include "tcp/stack.hh"
 
 #include <algorithm>
 
-#include "simcore/assert.hh"
-#include "simcore/timeout.hh"
-
 namespace ioat::tcp {
 
-// --------------------------------------------------------------------
-// Connection
-// --------------------------------------------------------------------
-
-Connection::Connection(Key, TcpStack &stack, std::uint64_t local_token)
-    : stack_(stack), localToken_(local_token),
-      establishedEvt_(stack.host_.sim),
-      creditAvail_(stack.host_.sim),
-      rxReady_(stack.host_.sim),
-      retransQ_(stack.txSegPool_),
-      txActivity_(stack.host_.sim),
-      ackProgress_(stack.host_.sim)
-{}
-
-sim::Simulation &
-Connection::simulation()
+Protocol::Spec
+TcpStack::specOf(const TcpConfig &cfg)
 {
-    return stack_.host_.sim;
+    Protocol::Spec s;
+    s.reliable = cfg.reliable;
+    s.bufBytes = cfg.sockBuf;
+    s.maxSegment = cfg.maxSegment;
+    s.connSetupCost = cfg.connSetupCost;
+    s.rtoInitial = cfg.rtoInitial;
+    s.rtoMax = cfg.rtoMax;
+    s.maxRetransmits = cfg.maxRetransmits;
+    s.persistTimeout = cfg.persistTimeout;
+    s.synRetryTimeout = cfg.synRetryTimeout;
+    s.maxSynRetries = cfg.maxSynRetries;
+    s.sendCall = {{"tx.syscall", sim::CostCat::cpu, cfg.txSyscall}};
+    s.recvCall = {{"rx.syscall", sim::CostCat::cpu, cfg.rxSyscall}};
+    s.ackGen = {{"rx.ackgen", sim::CostCat::cpu, cfg.ackGenCost}};
+    s.retransmitCost = cfg.retransmitCost + cfg.txPerSegment;
+    s.retransmitSpan = "tcp.retransmit";
+    s.connectionsKey = "connections";
+    return s;
 }
-
-Coro<void>
-Connection::send(std::size_t bytes, SendOptions opts, const MsgMeta *meta)
-{
-    if (aborted_)
-        co_return; // typed failure visible through aborted()
-    sim::simAssert(established_, "send on unestablished connection");
-    sim::simAssert(!localClosed_, "send after close");
-    auto &host = stack_.host_;
-    const TcpConfig &cfg = stack_.cfg_;
-    sim::RequestTracer *rt = host.sim.requestTracer();
-    const bool traced = rt && opts.trace.valid();
-
-    const Tick sys_t0 = host.sim.now();
-    co_await host.cpu.compute(cfg.txSyscall);
-    if (traced)
-        rt->recordComputeSplit(
-            opts.trace, sys_t0, host.sim.now(),
-            {{"tx.syscall", sim::CostCat::cpu, cfg.txSyscall}});
-
-    std::size_t remaining = bytes;
-    while (remaining > 0) {
-        const std::size_t seg =
-            std::min({remaining, cfg.maxSegment, peerSockBuf_});
-
-        const Tick wait_t0 = host.sim.now();
-
-        // Credit-based flow control against the peer's socket buffer.
-        if (cfg.reliable) {
-            // A lost credit return must not wedge the window: probe
-            // the receiver for a fresh cumulative ack while starved.
-            while (credit_ < seg && !aborted_) {
-                const bool woke = co_await sim::waitWithTimeout(
-                    host.sim, creditAvail_, cfg.persistTimeout);
-                if (!woke && credit_ < seg && !aborted_) {
-                    stack_.winProbes_.inc();
-                    stack_.sendControl(remoteNode_, flow_,
-                                       BurstKind::WinProbe, remoteToken_,
-                                       0);
-                }
-            }
-        } else {
-            while (credit_ < seg && !aborted_)
-                co_await creditAvail_.wait();
-        }
-        if (aborted_)
-            co_return;
-        credit_ -= seg;
-        if (traced && host.sim.now() > wait_t0)
-            rt->record(opts.trace, "tx.credit-wait",
-                       sim::CostCat::queueWait, wait_t0, host.sim.now());
-
-        const std::uint32_t frames =
-            stack_.nic_.framesFor(sim::Bytes{seg});
-        Tick cost = cfg.txPerSegment;
-        Tick copy_cost{};
-        if (opts.zeroCopy) {
-            // sendfile(): the NIC reads page-cache pages directly.
-            cost += cfg.txSendfileFixed;
-        } else {
-            // Copy user buffer into kernel socket buffer.
-            const double res = host.cache.transientResidency(2 * seg);
-            copy_cost = host.copy.copyTime(sim::Bytes{seg}, res,
-                                           host.bus.slowdown());
-            cost += copy_cost;
-            host.bus.consume(sim::Bytes{2 * seg});
-            stack_.noteStreamBytes(sim::Bytes{2 * seg});
-        }
-        Tick frame_cost{};
-        if (!stack_.nic_.config().tso)
-            frame_cost = cfg.txPerFrame * frames;
-        cost += frame_cost;
-        const Tick seg_t0 = host.sim.now();
-        co_await host.cpu.compute(cost);
-        if (traced) {
-            // Decompose the single compute() after the fact: protocol
-            // work, the copy's cache-hot share vs. its miss penalty,
-            // and per-frame costs.  The compute call is never split.
-            const Tick hot = std::min(
-                host.copy.hotCopyTime(sim::Bytes{seg}), copy_cost);
-            rt->recordComputeSplit(
-                opts.trace, seg_t0, host.sim.now(),
-                {{"tx.proto", sim::CostCat::cpu,
-                  opts.zeroCopy ? cfg.txPerSegment + cfg.txSendfileFixed
-                                : cfg.txPerSegment},
-                 {"tx.copy", sim::CostCat::memcpy, hot},
-                 {"tx.copy-miss", sim::CostCat::cache, copy_cost - hot},
-                 {"tx.frames", sim::CostCat::cpu, frame_cost}});
-        }
-
-        // NIC TX DMA reads the segment from memory.
-        host.bus.consume(sim::Bytes{seg});
-
-        Burst b;
-        b.dst = remoteNode_;
-        b.flow = flow_;
-        b.wireBytes = static_cast<std::uint32_t>(
-            stack_.nic_.wireBytesFor(sim::Bytes{seg}).count());
-        b.frames = frames;
-        b.payloadBytes = static_cast<std::uint32_t>(seg);
-        b.kind = static_cast<std::uint32_t>(BurstKind::Data);
-        b.connToken = remoteToken_;
-        if (traced)
-            b.trace = opts.trace.pack();
-        if (meta && remaining == bytes) { // first segment carries meta
-            b.hasMeta = true;
-            for (int i = 0; i < net::kBurstMetaWords; ++i)
-                b.meta[i] = meta->w[i];
-        }
-        if (cfg.reliable) {
-            b.arg = sndNxt_; // stream offset of the segment's first byte
-            TxSegment txSeg;
-            txSeg.seq = sndNxt_;
-            txSeg.payload = static_cast<std::uint32_t>(seg);
-            txSeg.hasMeta = b.hasMeta;
-            txSeg.trace = b.trace;
-            for (int i = 0; i < net::kBurstMetaWords; ++i)
-                txSeg.meta[i] = b.meta[i];
-            retransQ_.push_back(txSeg);
-            sndNxt_ += seg;
-            txActivity_.trigger(); // arm the RTO loop
-        }
-        stack_.nic_.transmit(b);
-
-        bytesSent_ += seg;
-        stack_.txPayload_.inc(seg);
-        remaining -= seg;
-    }
-}
-
-Coro<std::size_t>
-Connection::recv(std::size_t max_bytes, sim::TraceContext ctx)
-{
-    if (aborted_ && rxBuffered_ == 0)
-        co_return 0; // failed connection reads as EOF
-    sim::simAssert(established_, "recv on unestablished connection");
-    sim::simAssert(max_bytes > 0, "recv of zero bytes");
-    auto &host = stack_.host_;
-    const TcpConfig &cfg = stack_.cfg_;
-    sim::RequestTracer *rt = host.sim.requestTracer();
-
-    const Tick sys_t0 = host.sim.now();
-    co_await host.cpu.compute(cfg.rxSyscall);
-    const Tick sys_t1 = host.sim.now();
-
-    while (rxBuffered_ == 0 && !peerClosed_) {
-        rxWaiting_ = true;
-        co_await rxReady_.wait();
-    }
-    rxWaiting_ = false;
-
-    // A sink-style receiver doesn't thread a context; fall back to the
-    // one the most recent traced data arrival carried.  The wait for
-    // data itself is deliberately *not* recorded: it overlaps the
-    // sender/wire spans, whose categories own that time.
-    const sim::TraceContext ectx = ctx.valid() ? ctx : rxCtx_;
-    const bool traced = rt && ectx.valid();
-    if (traced)
-        rt->recordComputeSplit(
-            ectx, sys_t0, sys_t1,
-            {{"rx.syscall", sim::CostCat::cpu, cfg.rxSyscall}});
-
-    if (rxBuffered_ == 0)
-        co_return 0; // orderly EOF
-
-    const std::size_t n = std::min(max_bytes, rxBuffered_);
-    rxBuffered_ -= n;
-
-    co_await stack_.receiveCopy(sim::Bytes{n},
-                                traced ? ectx : sim::TraceContext{});
-
-    bytesReceived_ += n;
-    stack_.rxPayload_.inc(n);
-    drainedTotal_ += n;
-
-    if (aborted_)
-        co_return n; // no point acking a dead peer
-
-    // Return credit to the sender now that the socket buffer drained.
-    // Reliable mode acks the cumulative drained total so a lost
-    // return only delays (never loses) credit.
-    const Tick ack_t0 = host.sim.now();
-    co_await host.cpu.compute(cfg.ackGenCost);
-    if (traced)
-        rt->recordComputeSplit(
-            ectx, ack_t0, host.sim.now(),
-            {{"rx.ackgen", sim::CostCat::cpu, cfg.ackGenCost}});
-    stack_.sendControl(remoteNode_, flow_, BurstKind::Ack, remoteToken_,
-                       cfg.reliable ? drainedTotal_ : n);
-    co_return n;
-}
-
-Coro<std::size_t>
-Connection::recvAll(std::size_t bytes, sim::TraceContext ctx)
-{
-    std::size_t got = 0;
-    while (got < bytes) {
-        const std::size_t n = co_await recv(bytes - got, ctx);
-        if (n == 0)
-            break;
-        got += n;
-    }
-    co_return got;
-}
-
-MsgMeta
-Connection::popMeta()
-{
-    sim::simAssert(!metaQueue_.empty(), "popMeta on empty meta queue");
-    MsgMeta m = metaQueue_.front();
-    metaQueue_.pop_front();
-    return m;
-}
-
-void
-Connection::close()
-{
-    if (localClosed_ || !established_ || aborted_)
-        return;
-    localClosed_ = true;
-    stack_.noteFlowFinished(*this);
-    stack_.sendControl(remoteNode_, flow_, BurstKind::Fin, remoteToken_, 0);
-    if (stack_.cfg_.reliable)
-        txActivity_.trigger(); // let the RTO loop notice and wind down
-}
-
-void
-Connection::abortLocal()
-{
-    stack_.abortConnection(*this);
-}
-
-// --------------------------------------------------------------------
-// Listener
-// --------------------------------------------------------------------
-
-Coro<Connection *>
-Listener::accept()
-{
-    auto conn = co_await pending_.recv();
-    sim::simAssert(conn.has_value(), "listener closed");
-    co_return *conn;
-}
-
-// --------------------------------------------------------------------
-// TcpStack
-// --------------------------------------------------------------------
 
 TcpStack::TcpStack(const Host &host, nic::Nic &nic, const TcpConfig &cfg)
-    : host_(host), nic_(nic), cfg_(cfg),
+    : Protocol(host, nic, specOf(cfg)), cfg_(cfg),
       streamWindow_(host.sim, sim::microseconds(500))
 {
     hdrPool_ = host_.cache.addFootprint(
@@ -288,14 +41,6 @@ TcpStack::TcpStack(const Host &host, nic::Nic &nic, const TcpConfig &cfg)
         /*protectedHot=*/cfg_.splitHeader);
     netStream_ = host_.cache.addFootprint("tcp.netStream", 0);
     netStreamSize_ = host_.cache.sizeSlot(netStream_);
-    nic_.setRxHandler([this](unsigned queue, std::vector<Burst> &&b) {
-        onRxBatch(queue, std::move(b));
-    });
-    for (unsigned q = 0; q < nic_.rxQueueCount(); ++q) {
-        rxMailboxes_.push_back(
-            std::make_unique<nic::RxMailbox>(host_.sim));
-        host_.sim.spawn(softirqLoop(q));
-    }
 }
 
 TcpStack::~TcpStack()
@@ -313,210 +58,36 @@ TcpStack::noteStreamBytes(sim::Bytes bytes)
                                 4 * host_.cache.capacity()));
 }
 
-Connection *
-TcpStack::newConnection()
+Charge
+TcpStack::segmentCharge(std::size_t bytes, std::uint32_t frames,
+                        bool zero_copy)
 {
-    const auto token = static_cast<std::uint64_t>(conns_.size());
-    conns_.push_back(
-        std::make_unique<Connection>(Connection::Key{}, *this, token));
-    conns_.back()->openedAt_ = host_.sim.now();
-    if (cfg_.reliable)
-        host_.sim.spawn(rtoLoop(token));
-    return conns_.back().get();
-}
-
-Connection *
-TcpStack::connFor(std::uint64_t token)
-{
-    sim::simAssert(token < conns_.size(), "bad connection token");
-    return conns_[token].get();
-}
-
-void
-TcpStack::crashReset()
-{
-    // The process died: every connection's state is gone.  Aborting
-    // (rather than erasing) keeps the tokens of in-flight bursts
-    // valid; late deliveries hit the "dead connection" paths.
-    for (auto &c : conns_)
-        if (!c->aborted_)
-            abortConnection(*c);
-    // A restarted process has no memory of pre-crash handshakes: a
-    // client retrying an old SYN must get a *new* server-side
-    // connection, not a resent SYN-ACK for a dead one.
-    synSeen_.clear();
-}
-
-void
-TcpStack::abortConnection(Connection &c)
-{
-    if (c.aborted_)
-        return;
-    c.aborted_ = true;
-    aborts_.inc();
-    noteFlowFinished(c);
-    // Release every blocked waiter: connectors, senders, receivers,
-    // and the RTO loop all re-check aborted_ once woken.
-    c.peerClosed_ = true; // recv() drains what's left, then EOF
-    c.establishedEvt_.trigger();
-    c.creditAvail_.pulse();
-    c.rxReady_.pulse();
-    c.ackProgress_.trigger();
-    c.txActivity_.trigger();
-}
-
-Coro<void>
-TcpStack::rtoLoop(std::uint64_t token)
-{
-    Connection *c = connFor(token);
-    Tick rto = cfg_.rtoInitial;
-    unsigned attempts = 0;
-    for (;;) {
-        if (c->aborted_)
-            co_return;
-        if (c->retransQ_.empty()) {
-            if (c->localClosed_)
-                co_return; // closed and fully acked: wind down
-            c->txActivity_.reset();
-            if (c->retransQ_.empty() && !c->localClosed_ && !c->aborted_)
-                co_await c->txActivity_.wait();
-            rto = cfg_.rtoInitial;
-            attempts = 0;
-            continue;
-        }
-        const std::uint64_t una = c->sndUna_;
-        c->ackProgress_.reset();
-        co_await sim::waitWithTimeout(host_.sim, c->ackProgress_, rto);
-        if (c->aborted_)
-            co_return;
-        if (c->sndUna_ > una || c->retransQ_.empty()) {
-            // Ack progress: back off resets.
-            rto = cfg_.rtoInitial;
-            attempts = 0;
-            continue;
-        }
-        // RTO expired with no progress: go-back-N resend of the
-        // oldest segment, exponential backoff, bounded attempts.
-        if (++attempts > cfg_.maxRetransmits) {
-            abortConnection(*c);
-            co_return;
-        }
-        retransmits_.inc();
-        ++c->rtoFires_;
-        ++c->retrans_;
-        host_.sim.spawn(retransmitTask(token, c->retransQ_.front()));
-        rto = std::min(rto * 2, cfg_.rtoMax);
+    Tick proto = cfg_.txPerSegment;
+    Tick copy_cost{};
+    if (zero_copy) {
+        // sendfile(): the NIC reads page-cache pages directly.
+        proto += cfg_.txSendfileFixed;
+    } else {
+        // Copy user buffer into kernel socket buffer.
+        const double res = host_.cache.transientResidency(2 * bytes);
+        copy_cost = host_.copy.copyTime(sim::Bytes{bytes}, res,
+                                        host_.bus.slowdown());
+        host_.bus.consume(sim::Bytes{2 * bytes});
+        noteStreamBytes(sim::Bytes{2 * bytes});
     }
-}
-
-Coro<void>
-TcpStack::retransmitTask(std::uint64_t token, TxSegment seg)
-{
-    Connection *c = connFor(token);
-    const Tick rtx_t0 = host_.sim.now();
-    co_await host_.cpu.compute(cfg_.retransmitCost + cfg_.txPerSegment);
-    if (c->aborted_)
-        co_return;
-    if (sim::RequestTracer *rt = host_.sim.requestTracer();
-        rt && seg.trace != 0)
-        rt->record(sim::TraceContext::unpack(seg.trace),
-                   "tcp.retransmit", sim::CostCat::retx, rtx_t0,
-                   host_.sim.now());
-    host_.bus.consume(sim::Bytes{seg.payload});
-    Burst b;
-    b.dst = c->remoteNode_;
-    b.flow = c->flow_;
-    b.wireBytes = static_cast<std::uint32_t>(
-        nic_.wireBytesFor(sim::Bytes{seg.payload}).count());
-    b.frames = nic_.framesFor(sim::Bytes{seg.payload});
-    b.payloadBytes = seg.payload;
-    b.kind = static_cast<std::uint32_t>(BurstKind::Data);
-    b.connToken = c->remoteToken_;
-    b.arg = seg.seq;
-    b.trace = seg.trace;
-    if (seg.hasMeta) {
-        b.hasMeta = true;
-        for (int i = 0; i < net::kBurstMetaWords; ++i)
-            b.meta[i] = seg.meta[i];
-    }
-    nic_.transmit(b);
-}
-
-Coro<Connection *>
-TcpStack::connect(NodeId remote, std::uint16_t port, Tick timeout)
-{
-    Connection *c = newConnection();
-    c->remoteNode_ = remote;
-    c->flow_ = nodeId() * 7919 + flowCounter_++;
-
-    co_await host_.cpu.compute(cfg_.connSetupCost);
-    // The SYN advertises our receive buffer; the peer's send credit
-    // is bounded by it (and vice versa via the SYN-ACK).
-    if (!cfg_.reliable && timeout == Tick{0}) {
-        sendControl(remote, c->flow_, BurstKind::Syn, c->localToken_,
-                    port, cfg_.sockBuf);
-        co_await c->establishedEvt_.wait();
-        co_return c;
-    }
-
-    // Bounded open: retry the SYN with backoff (reliable mode), or
-    // give the single attempt a deadline (explicit timeout).  Either
-    // way an unreachable peer yields an aborted() connection, not a
-    // hang.
-    Tick rto = cfg_.reliable ? cfg_.synRetryTimeout : timeout;
-    const unsigned tries = cfg_.reliable ? cfg_.maxSynRetries : 1;
-    for (unsigned attempt = 0; attempt < tries; ++attempt) {
-        if (attempt > 0)
-            synRetries_.inc();
-        sendControl(remote, c->flow_, BurstKind::Syn, c->localToken_,
-                    port, cfg_.sockBuf);
-        co_await sim::waitWithTimeout(host_.sim, c->establishedEvt_, rto);
-        if (c->established_ || c->aborted_)
-            break;
-        rto = std::min(rto * 2, cfg_.rtoMax);
-    }
-    if (!c->established_ && !c->aborted_)
-        abortConnection(*c);
-    co_return c;
-}
-
-Listener &
-TcpStack::listen(std::uint16_t port)
-{
-    auto it = listeners_.find(port);
-    if (it == listeners_.end()) {
-        it = listeners_
-                 .emplace(port, std::make_unique<Listener>(
-                                    Listener::Key{}, host_.sim))
-                 .first;
-    }
-    return *it->second;
-}
-
-void
-TcpStack::sendControl(NodeId dst, std::uint64_t flow, BurstKind kind,
-                      std::uint64_t conn_token, std::uint64_t arg,
-                      std::uint64_t handshake_sockbuf)
-{
-    Burst b;
-    b.dst = dst;
-    b.flow = flow;
-    b.wireBytes = static_cast<std::uint32_t>(
-        nic_.wireBytesFor(sim::Bytes{0}).count());
-    b.frames = 1;
-    b.payloadBytes = 0;
-    b.kind = static_cast<std::uint32_t>(kind);
-    b.connToken = conn_token;
-    b.arg = arg;
-    if (handshake_sockbuf != 0) {
-        b.hasMeta = true;
-        b.meta[0] = handshake_sockbuf;
-    }
-    nic_.transmit(b);
+    const Tick frame_cost =
+        nic_.config().tso ? Tick{} : cfg_.txPerFrame * frames;
+    // The copy's cache-hot share vs. its miss penalty.
+    const Tick hot =
+        std::min(host_.copy.hotCopyTime(sim::Bytes{bytes}), copy_cost);
+    return {{"tx.proto", sim::CostCat::cpu, proto},
+            {"tx.copy", sim::CostCat::memcpy, hot},
+            {"tx.copy-miss", sim::CostCat::cache, copy_cost - hot},
+            {"tx.frames", sim::CostCat::cpu, frame_cost}};
 }
 
 int
-TcpStack::rxCoreFor(unsigned queue, std::uint64_t /*flow*/) const
+TcpStack::rxCoreFor(unsigned queue) const
 {
     // Interrupts are affinitized per *adapter*: the testbed's three
     // cards are dual-port and share one IRQ line each, so two
@@ -530,61 +101,18 @@ TcpStack::rxCoreFor(unsigned queue, std::uint64_t /*flow*/) const
     return static_cast<int>((queue / 2) % host_.cpu.coreCount());
 }
 
-void
-TcpStack::onRxBatch(unsigned queue, std::vector<Burst> &&bursts)
+Tick
+TcpStack::rxPassCost(const std::vector<Burst> &bursts,
+                     std::vector<RxShare> *shares)
 {
-    sim::simAssert(queue < rxMailboxes_.size(), "bad RX queue");
-    rxMailboxes_[queue]->post(std::move(bursts));
-}
-
-Coro<void>
-TcpStack::softirqLoop(unsigned queue)
-{
-    nic::RxMailbox &rx = *rxMailboxes_[queue];
-    for (;;) {
-        std::vector<Burst> batch = co_await rx.next();
-        co_await processBatch(queue, batch);
-        // Hand the drained vector back so a later interrupt reuses
-        // its capacity.
-        nic_.recycleBatch(std::move(batch));
-    }
-}
-
-Coro<void>
-TcpStack::processBatch(unsigned queue,
-                       const std::vector<Burst> &bursts)
-{
-    const int core = rxCoreFor(queue, bursts.front().flow);
-
-    // NIC receive DMA deposited all of this into host memory.
-    std::size_t wire_total = 0;
-    for (const auto &b : bursts)
-        wire_total += b.wireBytes;
-    host_.bus.consume(sim::Bytes{wire_total});
     const double bus_factor = host_.bus.slowdown();
-    sim::RequestTracer *rt = host_.sim.requestTracer();
-
-    /** Per-traced-burst attribution shares, anchored after compute. */
-    struct RxAttr
-    {
-        sim::TraceContext ctx;
-        Tick off;      ///< cost accumulated before this burst
-        Tick driver;
-        Tick proto;
-        Tick touchHot;
-        Tick touchMiss;
-        Tick wakeup;
-        Tick ack;
-    };
-    std::vector<RxAttr> attrs;
-
-    // ---- pass 1: accumulate the CPU cost of this softirq batch ----
     Tick cost =
         nic_.pollingMode() ? cfg_.rxPollEntry : cfg_.rxIrqEntry;
     for (const auto &b : bursts) {
         const Tick burst_off = cost;
-        cost += cfg_.rxPerFrame * b.frames;
-        switch (static_cast<BurstKind>(b.kind)) {
+        const Tick driver = cfg_.rxPerFrame * b.frames;
+        cost += driver;
+        switch (kindOf(b)) {
           case BurstKind::Data: {
             const double hdr_res =
                 cfg_.splitHeader ? 1.0 : host_.cache.residency(hdrPool_);
@@ -612,7 +140,7 @@ TcpStack::processBatch(unsigned queue,
                 noteStreamBytes(sim::Bytes{touch});
             }
             Tick wakeup{};
-            if (connFor(b.connToken)->rxWaiting_) {
+            if (connFor(b.connToken)->recvBlocked()) {
                 wakeup = cfg_.rxWakeup;
                 cost += wakeup;
             }
@@ -622,32 +150,28 @@ TcpStack::processBatch(unsigned queue,
                 cost += ack;
             }
             rxSegments_.inc();
-            if (rt && b.trace != 0) {
-                RxAttr a;
-                a.ctx = sim::TraceContext::unpack(b.trace);
-                a.off = burst_off;
-                a.driver = cfg_.rxPerFrame * b.frames;
-                a.proto = proto;
-                if (touch_cost > Tick{}) {
-                    const Tick hot = std::min(
-                        host_.copy.touchTime(sim::Bytes{touch}, 1.0,
-                                             1.0),
+            if (shares && b.trace != 0) {
+                Tick hot{};
+                if (touch_cost > Tick{})
+                    hot = std::min(
+                        host_.copy.touchTime(sim::Bytes{touch}, 1.0, 1.0),
                         touch_cost);
-                    a.touchHot = hot;
-                    a.touchMiss = touch_cost - hot;
-                }
-                a.wakeup = wakeup;
-                a.ack = ack;
-                attrs.push_back(a);
+                shares->push_back(
+                    {sim::TraceContext::unpack(b.trace), burst_off,
+                     {{"rx.driver", sim::CostCat::cpu, driver},
+                      {"rx.proto", sim::CostCat::cpu, proto},
+                      {"rx.touch", sim::CostCat::memcpy, hot},
+                      {"rx.touch-miss", sim::CostCat::cache,
+                       touch_cost - hot},
+                      {"rx.wakeup", sim::CostCat::cpu, wakeup},
+                      {"rx.ack", sim::CostCat::cpu, ack}}});
             }
             break;
           }
-          case BurstKind::Ack:
-            cost += cfg_.txAckProcess;
-            break;
           case BurstKind::Syn:
             cost += cfg_.connSetupCost;
             break;
+          case BurstKind::Ack:
           case BurstKind::SynAck:
           case BurstKind::Fin:
           case BurstKind::DataAck:
@@ -656,174 +180,7 @@ TcpStack::processBatch(unsigned queue,
             break;
         }
     }
-
-    co_await host_.cpu.compute(cost, core, /*highPriority=*/true);
-
-    if (rt && !attrs.empty()) {
-        // The batch's busy interval is the contiguous tail
-        // [t1 - cost, t1]; each burst's shares lie sequentially at its
-        // accumulated offset.  The softirq entry cost and control-burst
-        // costs stay unattributed (request residue), by design.
-        const Tick base = host_.sim.now() - cost;
-        for (const auto &a : attrs)
-            rt->recordComponents(
-                a.ctx, base + a.off, core,
-                {{"rx.driver", sim::CostCat::cpu, a.driver},
-                 {"rx.proto", sim::CostCat::cpu, a.proto},
-                 {"rx.touch", sim::CostCat::memcpy, a.touchHot},
-                 {"rx.touch-miss", sim::CostCat::cache, a.touchMiss},
-                 {"rx.wakeup", sim::CostCat::cpu, a.wakeup},
-                 {"rx.ack", sim::CostCat::cpu, a.ack}});
-    }
-
-    // ---- pass 2: apply protocol effects ----
-    for (const auto &b : bursts) {
-        switch (static_cast<BurstKind>(b.kind)) {
-          case BurstKind::Data: {
-            Connection *c = connFor(b.connToken);
-            if (c->aborted_)
-                break; // late segment for a dead connection
-            if (!cfg_.reliable) {
-                c->rxBuffered_ += b.payloadBytes;
-                if (b.trace != 0)
-                    c->rxCtx_ = sim::TraceContext::unpack(b.trace);
-                if (b.hasMeta) {
-                    MsgMeta m;
-                    for (int i = 0; i < net::kBurstMetaWords; ++i)
-                        m.w[i] = b.meta[i];
-                    c->metaQueue_.push_back(m);
-                }
-                c->rxReady_.pulse();
-                break;
-            }
-            // Go-back-N receiver: accept only the in-order segment;
-            // every arrival re-acks the cumulative high-water mark.
-            const std::uint64_t seq = b.arg;
-            if (seq == c->rcvNxt_) {
-                c->rcvNxt_ += b.payloadBytes;
-                c->rxBuffered_ += b.payloadBytes;
-                if (b.trace != 0)
-                    c->rxCtx_ = sim::TraceContext::unpack(b.trace);
-                if (b.hasMeta) {
-                    MsgMeta m;
-                    for (int i = 0; i < net::kBurstMetaWords; ++i)
-                        m.w[i] = b.meta[i];
-                    c->metaQueue_.push_back(m);
-                }
-                c->rxReady_.pulse();
-            } else if (seq < c->rcvNxt_) {
-                rxDups_.inc(); // retransmit of delivered data
-            } else {
-                rxOoo_.inc(); // gap: discard, sender will resend
-            }
-            sendControl(b.src, b.flow, BurstKind::DataAck,
-                        c->remoteToken_, c->rcvNxt_);
-            break;
-          }
-          case BurstKind::Ack: {
-            Connection *c = connFor(b.connToken);
-            if (c->aborted_)
-                break;
-            if (!cfg_.reliable) {
-                c->credit_ += b.arg;
-                sim::simAssert(c->credit_ <= c->peerSockBuf_,
-                               "credit overflow (peer buffer accounting)");
-                c->creditAvail_.pulse();
-                break;
-            }
-            // Cumulative credit: arg is the peer's drained total, so
-            // a lost return is healed by any later one.
-            if (b.arg > c->peerDrained_) {
-                c->peerDrained_ = b.arg;
-                const std::uint64_t inflight =
-                    c->sndNxt_ - c->peerDrained_;
-                c->credit_ = c->peerSockBuf_ > inflight
-                                 ? c->peerSockBuf_ - inflight
-                                 : 0;
-                c->creditAvail_.pulse();
-            }
-            break;
-          }
-          case BurstKind::DataAck: {
-            Connection *c = connFor(b.connToken);
-            if (c->aborted_)
-                break;
-            if (b.arg > c->sndUna_) {
-                c->sndUna_ = b.arg;
-                while (!c->retransQ_.empty() &&
-                       c->retransQ_.front().seq +
-                               c->retransQ_.front().payload <=
-                           b.arg)
-                    c->retransQ_.pop_front();
-                c->ackProgress_.trigger();
-            }
-            break;
-          }
-          case BurstKind::WinProbe: {
-            Connection *c = connFor(b.connToken);
-            if (c->aborted_)
-                break;
-            // Re-solicited credit return (reliable mode only).
-            sendControl(b.src, b.flow, BurstKind::Ack, c->remoteToken_,
-                        c->drainedTotal_);
-            break;
-          }
-          case BurstKind::Syn: {
-            const auto port = static_cast<std::uint16_t>(b.arg);
-            auto it = listeners_.find(port);
-            if (it == listeners_.end()) {
-                sim::fatal("connection attempt to port with no "
-                           "listener");
-            }
-            // A retransmitted SYN must not spawn a second server-side
-            // connection: resend the (possibly lost) SYN-ACK instead.
-            const auto key = std::make_pair(
-                static_cast<std::uint64_t>(b.src), b.flow);
-            auto seen = synSeen_.find(key);
-            if (seen != synSeen_.end()) {
-                Connection *c = connFor(seen->second);
-                if (!c->aborted_)
-                    sendControl(b.src, b.flow, BurstKind::SynAck,
-                                b.connToken, c->localToken_,
-                                cfg_.sockBuf);
-                break;
-            }
-            Connection *c = newConnection();
-            synSeen_[key] = c->localToken_;
-            c->remoteNode_ = b.src;
-            c->remoteToken_ = b.connToken;
-            c->flow_ = b.flow;
-            c->peerSockBuf_ = b.hasMeta ? b.meta[0] : cfg_.sockBuf;
-            c->credit_ = c->peerSockBuf_;
-            c->established_ = true;
-            c->establishedAt_ = host_.sim.now();
-            sendControl(b.src, b.flow, BurstKind::SynAck, b.connToken,
-                        c->localToken_, cfg_.sockBuf);
-            it->second->pending_.push(c);
-            break;
-          }
-          case BurstKind::SynAck: {
-            Connection *c = connFor(b.connToken);
-            if (c->established_ || c->aborted_)
-                break; // duplicate SYN-ACK, or we already gave up
-            c->remoteToken_ = b.arg;
-            c->peerSockBuf_ = b.hasMeta ? b.meta[0] : cfg_.sockBuf;
-            c->credit_ = c->peerSockBuf_;
-            c->established_ = true;
-            c->establishedAt_ = host_.sim.now();
-            handshakeHist_.sample(
-                (c->establishedAt_ - c->openedAt_).count());
-            c->establishedEvt_.trigger();
-            break;
-          }
-          case BurstKind::Fin: {
-            Connection *c = connFor(b.connToken);
-            c->peerClosed_ = true;
-            c->rxReady_.pulse();
-            break;
-          }
-        }
-    }
+    return cost;
 }
 
 Coro<void>
@@ -877,87 +234,12 @@ TcpStack::receiveCopy(sim::Bytes bytes, sim::TraceContext ctx)
 }
 
 void
-TcpStack::noteFlowFinished(Connection &c)
+TcpStack::instrumentCosts(sim::telemetry::Registry &reg)
 {
-    if (!c.established_ || c.finishedAt_ > Tick{0})
-        return;
-    c.finishedAt_ = host_.sim.now();
-    lifetimeHist_.sample((c.finishedAt_ - c.establishedAt_).count());
-}
-
-void
-TcpStack::instrument(sim::telemetry::Registry &reg)
-{
-    reg.counter("txPayloadBytes", txPayload_, "payload bytes sent");
-    reg.counter("rxPayloadBytes", rxPayload_,
-                "payload bytes delivered to apps");
     reg.counter("rxSegments", rxSegments_, "data segments received");
     reg.counter("dmaCopies", dmaCopies_,
                 "recv copies offloaded to the DMA engine");
     reg.counter("cpuCopies", cpuCopies_, "recv copies done by the CPU");
-    reg.counter("retransmits", retransmits_,
-                "data segments resent by the RTO path");
-    reg.counter("rxDuplicateSegments", rxDups_,
-                "already-delivered segments received");
-    reg.counter("rxOutOfOrderDrops", rxOoo_, "go-back-N discards");
-    reg.counter("windowProbes", winProbes_,
-                "persist probes while credit-starved");
-    reg.counter("synRetries", synRetries_, "SYN retransmissions");
-    reg.counter("abortedConnections", aborts_,
-                "connections that gave up after retry exhaustion");
-    reg.scalar(
-        "connections",
-        [this] { return static_cast<double>(conns_.size()); },
-        "connections created");
-    reg.probe(
-        "usableConns", sim::telemetry::ProbeKind::gauge,
-        [this] {
-            std::size_t n = 0;
-            for (const auto &c : conns_)
-                if (c->usable())
-                    ++n;
-            return static_cast<double>(n);
-        },
-        "established, unaborted, peer-open connections");
-    reg.probe(
-        "creditBytes", sim::telemetry::ProbeKind::gauge,
-        [this] {
-            std::uint64_t n = 0;
-            for (const auto &c : conns_)
-                n += c->credit_;
-            return static_cast<double>(n);
-        },
-        "unused peer-socket-buffer send credit, all connections");
-    reg.probe(
-        "unackedBytes", sim::telemetry::ProbeKind::gauge,
-        [this] {
-            std::uint64_t n = 0;
-            for (const auto &c : conns_)
-                n += c->sndNxt_ - c->sndUna_;
-            return static_cast<double>(n);
-        },
-        "sent-but-unacked stream bytes (the RTO window)");
-    reg.histogram("handshakeTicks", handshakeHist_,
-                  "active-open handshake latency (ticks)");
-    reg.histogram("flowLifetimeTicks", lifetimeHist_,
-                  "established -> FIN/abort (ticks)");
-    reg.flows("flows", [this] {
-        std::vector<sim::telemetry::FlowSample> out;
-        out.reserve(conns_.size());
-        for (const auto &c : conns_) {
-            sim::telemetry::FlowSample f;
-            f.flow = c->flow();
-            f.bytesSent = c->bytesSent();
-            f.bytesReceived = c->bytesReceived();
-            f.retransmits = c->flowRetransmits();
-            f.rtoFires = c->rtoFires();
-            f.handshakeLatency = c->handshakeLatency();
-            f.finLatency = c->finLatency();
-            f.open = c->usable();
-            out.push_back(f);
-        }
-        return out;
-    });
 }
 
 } // namespace ioat::tcp

@@ -2,12 +2,13 @@
  * @file
  * Kernel-bypass transport suite (`ctest -L bypass`).
  *
- * Covers the xpt::BypassStack behind the sock:: facade: zero-copy
- * streaming at near-zero receiver CPU, credit-based flow control
- * (stall + recovery), user-space loss handling under the shared
- * FaultInjector sites, trace-breakdown exactness on the bypass path
- * and Listener misuse.  The benches' `--transport tcp|ioat|bypass`
- * tables are pinned by their goldens (`ctest -L golden`).
+ * Covers the xpt::BypassStack cost model behind the sock:: facade:
+ * zero-copy streaming at near-zero receiver CPU, credit-based flow
+ * control (stall + recovery), trace-breakdown exactness on the bypass
+ * path and Listener misuse.  Loss recovery and the connect-deadline
+ * rule run under both transports in test_fault.cc's `Transports/`
+ * suites.  The benches' `--transport tcp|ioat|bypass` tables are
+ * pinned by their goldens (`ctest -L golden`).
  */
 
 #include <cstdint>
@@ -20,7 +21,6 @@
 #include "datacenter/web_server.hh"
 #include "datacenter/workload.hh"
 #include "net/switch.hh"
-#include "simcore/fault.hh"
 #include "simcore/simcore.hh"
 #include "sock/socket.hh"
 #include "xpt/bypass.hh"
@@ -127,67 +127,6 @@ TEST(Bypass, CreditExhaustionStallsThenRecovers)
     // Stalled is not stuck: multiple pools' worth still got through.
     EXPECT_GT(b.transport().rxPayloadBytes(),
               8 * cfg.bypass.bufPoolBytes);
-}
-
-// --------------------------------------------------------------------
-// User-space loss handling (FaultInjector sites intact)
-// --------------------------------------------------------------------
-
-TEST(Bypass, LinkLossRecoveredByLibraryRetransmission)
-{
-    Simulation sim;
-    net::Switch fabric(sim, sim::nanoseconds(2000));
-    sim::FaultInjector faults(42);
-    sim::FaultSiteConfig fc;
-    fc.dropProb = 1e-2;
-    fc.dupProb = 1e-3;
-    faults.setDefaultConfig(fc);
-    fabric.setFaultInjector(&faults);
-
-    const NodeConfig cfg = bypassNode(1);
-    Node a(sim, fabric, cfg);
-    Node b(sim, fabric, cfg);
-
-    sim.spawn(sinkLoop(b, 5001, 32 * 1024));
-    sim.spawn(senderLoop(a, b.id(), 5001, 32 * 1024));
-    sim.runFor(sim::milliseconds(200));
-
-    // The injector really dropped traffic, the library really
-    // resent it, and goodput survived.
-    EXPECT_GT(faults.totalDrops(), 0u);
-    EXPECT_GT(a.bypassStack()->retransmits(), 0u);
-    EXPECT_GT(b.transport().rxPayloadBytes(), 512u * 1024);
-    EXPECT_EQ(b.transport().abortedConnections(), 0u);
-}
-
-TEST(Bypass, ConnectToUnreachablePeerAbortsInsteadOfHanging)
-{
-    Simulation sim;
-    net::Switch fabric(sim, sim::nanoseconds(2000));
-    // A black-hole link: every burst (SYN included) is dropped, so
-    // the active open must exhaust its retry budget and fail typed.
-    sim::FaultInjector faults(1);
-    sim::FaultSiteConfig fc;
-    fc.dropProb = 1.0;
-    faults.setDefaultConfig(fc);
-    fabric.setFaultInjector(&faults);
-
-    const NodeConfig cfg = bypassNode(1);
-    Node a(sim, fabric, cfg);
-    Node b(sim, fabric, cfg);
-
-    bool checked = false;
-    sim.spawn([](Node &n, net::NodeId dst, bool &done) -> Coro<void> {
-        sock::Socket s = co_await n.transport().connect(
-            dst, 7777, sim::milliseconds(5));
-        EXPECT_TRUE(s.valid());
-        EXPECT_FALSE(s.usable());
-        EXPECT_TRUE(s.aborted());
-        done = true;
-    }(a, b.id(), checked));
-    sim.runFor(sim::milliseconds(100));
-    EXPECT_TRUE(checked);
-    EXPECT_GT(a.bypassStack()->abortedConnections(), 0u);
 }
 
 // --------------------------------------------------------------------

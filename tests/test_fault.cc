@@ -11,6 +11,7 @@
 
 #include <cstdint>
 #include <memory>
+#include <string>
 #include <vector>
 
 #include "core/app_memory.hh"
@@ -23,6 +24,8 @@
 #include "dma/dma_engine.hh"
 #include "pvfs/deployment.hh"
 #include "simcore/simcore.hh"
+#include "sock/socket.hh"
+#include "xpt/bypass.hh"
 
 namespace {
 
@@ -30,6 +33,7 @@ using namespace ioat;
 using core::IoatConfig;
 using core::Node;
 using core::NodeConfig;
+using core::TransportKind;
 using sim::Coro;
 using sim::FaultInjector;
 using sim::FaultSiteConfig;
@@ -232,9 +236,11 @@ TEST(DmaFaults, StallDelaysCompletion)
 }
 
 // --------------------------------------------------------------------
-// TCP loss tolerance
+// Loss tolerance: each recovery path under both transports, then the
+// kernel-TCP fault sites
 // --------------------------------------------------------------------
 
+/** A reliable kernel-TCP node with tight retry budgets. */
 NodeConfig
 reliableNode(unsigned ports = 1)
 {
@@ -247,16 +253,38 @@ reliableNode(unsigned ports = 1)
     return cfg;
 }
 
+/** reliableNode()'s retry budgets on the @p kind transport. */
+NodeConfig
+reliableNode(TransportKind kind)
+{
+    NodeConfig cfg = reliableNode();
+    cfg.transport = kind;
+    cfg.bypass.rtoInitial = cfg.tcp.rtoInitial;
+    cfg.bypass.maxRetransmits = cfg.tcp.maxRetransmits;
+    cfg.bypass.synRetryTimeout = cfg.tcp.synRetryTimeout;
+    cfg.bypass.maxSynRetries = cfg.tcp.maxSynRetries;
+    return cfg;
+}
+
+/** The protocol stack behind @p node's transport. */
+tcp::Protocol &
+protocolOf(Node &node)
+{
+    if (xpt::BypassStack *b = node.bypassStack())
+        return *b;
+    return node.stack();
+}
+
 Coro<void>
 sinkLoop(Node &node, std::uint16_t port, std::size_t chunk)
 {
-    auto &listener = node.stack().listen(port);
+    sock::Listener listener(node.transport(), port);
     for (;;) {
-        tcp::Connection *c = co_await listener.accept();
+        sock::Socket c = co_await listener.accept();
         node.simulation().spawn(
-            [](tcp::Connection *conn, std::size_t ck) -> Coro<void> {
+            [](sock::Socket conn, std::size_t ck) -> Coro<void> {
                 for (;;) {
-                    const std::size_t got = co_await conn->recvAll(ck);
+                    const std::size_t got = co_await conn.recvAll(ck);
                     if (got == 0)
                         co_return;
                 }
@@ -268,29 +296,37 @@ Coro<void>
 sendChunks(Node &node, net::NodeId dst, std::uint16_t port,
            std::size_t chunk, unsigned count)
 {
-    tcp::Connection *c = co_await node.stack().connect(dst, port);
+    sock::Socket c = co_await node.transport().connect(dst, port);
     for (unsigned i = 0; i < count; ++i)
-        co_await c->send(chunk);
+        co_await c.sendAll(chunk);
 }
 
-TEST(TcpFaults, RtoBackoffDoublesAndExhaustionAborts)
+/**
+ * Loss recovery under each transport.  Both run one protocol
+ * (tcp/protocol.hh), so every recovery path here must hold for
+ * reliable kernel TCP and for bypass alike.
+ */
+class Recovery : public ::testing::TestWithParam<TransportKind>
+{};
+
+TEST_P(Recovery, RtoBackoffDoublesAndExhaustionAborts)
 {
     Simulation sim;
     net::Switch fabric(sim, sim::nanoseconds(2000));
     FaultInjector faults(11);
     fabric.setFaultInjector(&faults);
-    Node a(sim, fabric, reliableNode());
-    Node b(sim, fabric, reliableNode());
+    Node a(sim, fabric, reliableNode(GetParam()));
+    Node b(sim, fabric, reliableNode(GetParam()));
 
     sim.spawn(sinkLoop(b, 5001, 1024));
-    tcp::Connection *conn = nullptr;
+    sock::Socket conn;
     sim.spawn([](Node &n, net::NodeId dst,
-                 tcp::Connection *&out) -> Coro<void> {
-        out = co_await n.stack().connect(dst, 5001);
+                 sock::Socket &out) -> Coro<void> {
+        out = co_await n.transport().connect(dst, 5001);
     }(a, b.id(), conn));
     sim.runFor(sim::milliseconds(5));
-    ASSERT_NE(conn, nullptr);
-    ASSERT_FALSE(conn->aborted());
+    ASSERT_TRUE(conn.valid());
+    ASSERT_FALSE(conn.aborted());
 
     // Cut both directions, then send once: every (re)transmission is
     // lost, so the RTO path must fire at 1, 1+2, 1+2+4 ms and abort
@@ -301,56 +337,60 @@ TEST(TcpFaults, RtoBackoffDoublesAndExhaustionAborts)
     faults.site("link." + std::to_string(a.id()) + "." +
                     std::to_string(b.id()),
                 {1.0, 0.0, 0.0, sim::Tick{0}});
-    sim.spawn([](tcp::Connection *c) -> Coro<void> {
-        co_await c->send(1024);
+    sim.spawn([](sock::Socket c) -> Coro<void> {
+        co_await c.sendAll(1024);
     }(conn));
 
+    sock::Transport &xa = a.transport();
     sim.runFor(sim::microseconds(1500)); // ~1.0 ms: first RTO
-    EXPECT_EQ(a.stack().retransmits(), 1u);
+    EXPECT_EQ(xa.retransmits(), 1u);
     sim.runFor(sim::milliseconds(2)); // ~3.0 ms: doubled RTO
-    EXPECT_EQ(a.stack().retransmits(), 2u);
+    EXPECT_EQ(xa.retransmits(), 2u);
     sim.runFor(sim::milliseconds(4)); // ~7.0 ms: doubled again
-    EXPECT_EQ(a.stack().retransmits(), 3u);
-    EXPECT_EQ(a.stack().abortedConnections(), 0u);
+    EXPECT_EQ(xa.retransmits(), 3u);
+    EXPECT_EQ(xa.abortedConnections(), 0u);
     sim.runFor(sim::milliseconds(9)); // ~15 ms: retries exhausted
-    EXPECT_EQ(a.stack().retransmits(), 3u);
-    EXPECT_EQ(a.stack().abortedConnections(), 1u);
-    EXPECT_TRUE(conn->aborted());
+    EXPECT_EQ(xa.retransmits(), 3u);
+    EXPECT_EQ(xa.abortedConnections(), 1u);
+    EXPECT_TRUE(conn.aborted());
 }
 
-TEST(TcpFaults, UnreachablePeerAbortsConnectInsteadOfHanging)
+TEST_P(Recovery, UnreachablePeerAbortsConnectInsteadOfHanging)
 {
     Simulation sim;
     net::Switch fabric(sim, sim::nanoseconds(2000));
+    // A black-hole link: every burst (SYN included) is dropped, so
+    // the active open must exhaust its retry budget and fail typed.
     FaultInjector faults(11);
     faults.setDefaultConfig({1.0, 0.0, 0.0, sim::Tick{0}}); // all links dead
     fabric.setFaultInjector(&faults);
-    Node a(sim, fabric, reliableNode());
-    Node b(sim, fabric, reliableNode());
+    Node a(sim, fabric, reliableNode(GetParam()));
+    Node b(sim, fabric, reliableNode(GetParam()));
 
     bool done = false;
-    bool aborted = false;
+    sock::Socket s;
     sim.spawn([](Node &n, net::NodeId dst, bool &d,
-                 bool &ab) -> Coro<void> {
-        tcp::Connection *c = co_await n.stack().connect(dst, 5001);
+                 sock::Socket &out) -> Coro<void> {
+        out = co_await n.transport().connect(dst, 5001);
         d = true;
-        ab = c->aborted();
-    }(a, b.id(), done, aborted));
+    }(a, b.id(), done, s));
     sim.runFor(sim::milliseconds(50));
     EXPECT_TRUE(done);
-    EXPECT_TRUE(aborted);
-    EXPECT_GE(a.stack().synRetries(), 1u);
-    EXPECT_EQ(a.stack().abortedConnections(), 1u);
+    EXPECT_TRUE(s.valid());
+    EXPECT_FALSE(s.usable());
+    EXPECT_TRUE(s.aborted());
+    EXPECT_GE(protocolOf(a).synRetries(), 1u);
+    EXPECT_EQ(a.transport().abortedConnections(), 1u);
 }
 
-TEST(TcpFaults, LossyLinkRecoveredByRetransmission)
+TEST_P(Recovery, LossyLinkRecoveredByRetransmission)
 {
     Simulation sim;
     net::Switch fabric(sim, sim::nanoseconds(2000));
     FaultInjector faults(19);
     fabric.setFaultInjector(&faults);
-    Node a(sim, fabric, reliableNode());
-    Node b(sim, fabric, reliableNode());
+    Node a(sim, fabric, reliableNode(GetParam()));
+    Node b(sim, fabric, reliableNode(GetParam()));
     // 5% loss + occasional dup/delay on the data direction.
     faults.site("link." + std::to_string(a.id()) + "." +
                     std::to_string(b.id()),
@@ -362,10 +402,13 @@ TEST(TcpFaults, LossyLinkRecoveredByRetransmission)
     sim.spawn(sendChunks(a, b.id(), 5001, chunk, count));
     sim.runFor(sim::seconds(2));
 
-    // Every payload byte arrives exactly once despite drops and dups.
-    EXPECT_EQ(b.stack().rxPayloadBytes(), chunk * count);
-    EXPECT_GT(a.stack().retransmits(), 0u);
+    // Every payload byte arrives exactly once despite drops and dups:
+    // the injector really dropped traffic, the stack really resent
+    // it, and no connection gave up.
+    EXPECT_EQ(b.transport().rxPayloadBytes(), chunk * count);
+    EXPECT_GT(a.transport().retransmits(), 0u);
     EXPECT_GT(faults.totalDrops(), 0u);
+    EXPECT_EQ(b.transport().abortedConnections(), 0u);
 }
 
 TEST(TcpFaults, NicRxFaultDropsRecovered)
@@ -768,10 +811,13 @@ TEST(DatacenterFaults, WebServerShedsPastInflightCap)
 // --------------------------------------------------------------------
 
 /**
- * Measured firing schedule for the RTO test below.  These are golden
- * values: re-pin them (and investigate!) if a change moves them.
+ * Measured firing schedule for the RTO test below, per transport (the
+ * first transmission leaves after each stack's own send-path costs).
+ * These are golden values: re-pin them (and investigate!) if a change
+ * moves them.
  */
 constexpr Tick kRtoFirstFireTick{6002736};
+constexpr Tick kBypassRtoFirstFireTick{6000350};
 
 /**
  * Run single events until @p value changes; returns the exact tick of
@@ -790,23 +836,24 @@ flipTick(Simulation &sim, Fn value, Tick limit)
     return sim.now();
 }
 
-TEST(TimerTicks, RtoBackoffFiresAtExactTicks)
+TEST_P(Recovery, RtoBackoffFiresAtExactTicks)
 {
     Simulation sim;
     net::Switch fabric(sim, sim::nanoseconds(2000));
     FaultInjector faults(11);
     fabric.setFaultInjector(&faults);
-    Node a(sim, fabric, reliableNode()); // rtoInitial=1ms, 3 retries
-    Node b(sim, fabric, reliableNode());
+    // rtoInitial=1ms, 3 retries
+    Node a(sim, fabric, reliableNode(GetParam()));
+    Node b(sim, fabric, reliableNode(GetParam()));
 
     sim.spawn(sinkLoop(b, 5001, 1024));
-    tcp::Connection *conn = nullptr;
+    sock::Socket conn;
     sim.spawn([](Node &n, net::NodeId dst,
-                 tcp::Connection *&out) -> Coro<void> {
-        out = co_await n.stack().connect(dst, 5001);
+                 sock::Socket &out) -> Coro<void> {
+        out = co_await n.transport().connect(dst, 5001);
     }(a, b.id(), conn));
     sim.runUntil(sim::milliseconds(5));
-    ASSERT_NE(conn, nullptr);
+    ASSERT_TRUE(conn.valid());
 
     // Cut both directions at exactly 5 ms, then send one chunk.  The
     // first transmission leaves at 5 ms + send-path CPU costs; every
@@ -818,12 +865,13 @@ TEST(TimerTicks, RtoBackoffFiresAtExactTicks)
     faults.site("link." + std::to_string(a.id()) + "." +
                     std::to_string(b.id()),
                 {1.0, 0.0, 0.0, sim::Tick{0}});
-    sim.spawn([](tcp::Connection *c) -> Coro<void> {
-        co_await c->send(1024);
+    sim.spawn([](sock::Socket c) -> Coro<void> {
+        co_await c.sendAll(1024);
     }(conn));
 
-    auto retrans = [&a] { return a.stack().retransmits(); };
-    auto aborts = [&a] { return a.stack().abortedConnections(); };
+    sock::Transport &xa = a.transport();
+    auto retrans = [&xa] { return xa.retransmits(); };
+    auto aborts = [&xa] { return xa.abortedConnections(); };
     const Tick limit = sim::milliseconds(40);
 
     const Tick f1 = flipTick(sim, retrans, limit);
@@ -843,7 +891,9 @@ TEST(TimerTicks, RtoBackoffFiresAtExactTicks)
     // armed retransmission round begins.  The measured schedule is a
     // golden value; a refactor that shifts when timers are armed (or
     // how `now` advances) moves it.
-    EXPECT_EQ(f1, kRtoFirstFireTick);
+    EXPECT_EQ(f1, GetParam() == TransportKind::tcp
+                      ? kRtoFirstFireTick
+                      : kBypassRtoFirstFireTick);
 }
 
 TEST(TimerTicks, PvfsWatchdogFiresAtExactTick)
@@ -902,5 +952,88 @@ TEST(TimerTicks, PvfsWatchdogFiresAtExactTick)
     sim.runFor(sim::milliseconds(100));
     EXPECT_TRUE(done);
 }
+
+// --------------------------------------------------------------------
+// The one protocol rule the transports do not share
+// --------------------------------------------------------------------
+
+/**
+ * connect() with a deadline to a black-holed peer (DESIGN.md §9).
+ * Reliable kernel TCP ignores the deadline: it sends maxSynRetries
+ * SYNs, backing off from synRetryTimeout (5+10+20+40+80 ms with the
+ * defaults), then aborts.  Bypass sends one SYN and aborts at the
+ * deadline.  The proxy, the clients and PVFS all pass deadlines, so
+ * the fault goldens of both transports rest on this rule.
+ */
+class ConnectDeadline : public ::testing::TestWithParam<TransportKind>
+{};
+
+/** Measured abort instants, per transport (golden values). */
+constexpr Tick kTcpConnectAbortTick{155005000};
+constexpr Tick kBypassConnectAbortTick{20001000};
+
+TEST_P(ConnectDeadline, BlackHoledPeerTimeline)
+{
+    constexpr Tick kDeadline = sim::milliseconds(20);
+    NodeConfig cfg = NodeConfig::server(IoatConfig::disabled(), 1);
+    cfg.transport = GetParam();
+    cfg.tcp.reliable = true;
+
+    Simulation sim;
+    net::Switch fabric(sim, sim::nanoseconds(2000));
+    FaultInjector faults(1);
+    faults.setDefaultConfig({1.0, 0.0, 0.0, sim::Tick{0}});
+    fabric.setFaultInjector(&faults);
+    Node a(sim, fabric, cfg);
+    Node b(sim, fabric, cfg);
+
+    sock::Socket s;
+    Tick returned{};
+    sim.spawn([](Node &n, net::NodeId dst, sock::Socket &out,
+                 Tick &at) -> Coro<void> {
+        out = co_await n.transport().connect(dst, 5001, kDeadline);
+        at = n.simulation().now();
+    }(a, b.id(), s, returned));
+
+    // Every SYN dies on the link, so the drop instants are the SYN
+    // timeline.
+    auto drops = [&faults] { return faults.totalDrops(); };
+    std::vector<Tick> syns;
+    for (Tick t; (t = flipTick(sim, drops, sim::seconds(1))) != Tick{0};)
+        syns.push_back(t);
+
+    EXPECT_TRUE(s.valid());
+    EXPECT_FALSE(s.usable());
+    EXPECT_TRUE(s.aborted());
+    EXPECT_EQ(a.transport().abortedConnections(), 1u);
+    if (GetParam() == TransportKind::tcp) {
+        ASSERT_EQ(syns.size(), cfg.tcp.maxSynRetries);
+        for (std::size_t i = 1; i < syns.size(); ++i)
+            EXPECT_EQ(syns[i] - syns[i - 1],
+                      cfg.tcp.synRetryTimeout * (1 << (i - 1)));
+        EXPECT_EQ(returned, kTcpConnectAbortTick);
+        EXPECT_EQ(returned, cfg.tcp.connSetupCost +
+                                sim::milliseconds(5 + 10 + 20 + 40 + 80));
+    } else {
+        ASSERT_EQ(syns.size(), 1u);
+        EXPECT_EQ(returned, kBypassConnectAbortTick);
+        EXPECT_EQ(returned, cfg.bypass.connSetupCost + kDeadline);
+    }
+}
+
+std::string
+transportName(const ::testing::TestParamInfo<TransportKind> &p)
+{
+    return p.param == TransportKind::tcp ? "tcp" : "bypass";
+}
+
+INSTANTIATE_TEST_SUITE_P(Transports, Recovery,
+                         ::testing::Values(TransportKind::tcp,
+                                           TransportKind::bypass),
+                         transportName);
+INSTANTIATE_TEST_SUITE_P(Transports, ConnectDeadline,
+                         ::testing::Values(TransportKind::tcp,
+                                           TransportKind::bypass),
+                         transportName);
 
 } // namespace

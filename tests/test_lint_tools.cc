@@ -57,7 +57,7 @@ TEST(LintTools, SimcheckFixtureCorpusExactPerRuleCounts)
     // Exact per-rule totals over the fixture corpus.  If a fixture or
     // its expected.json changes, this line must change with it.
     EXPECT_NE(r.output.find("simcheck self-test counts: "
-                            "coro-lifetime=3 float-tick=2 layering=5 "
+                            "coro-lifetime=3 float-tick=2 layering=6 "
                             "raw-new=5 raw-random=5 raw-stdout=9 "
                             "raw-thread=6 shard-safety=11 strong-type=3 "
                             "wall-clock=4\n"),

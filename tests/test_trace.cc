@@ -5,7 +5,15 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cmath>
+#include <map>
+#include <regex>
+#include <set>
 #include <sstream>
+#include <string>
+#include <utility>
+#include <vector>
 
 #include "core/node.hh"
 #include "simcore/simcore.hh"
@@ -168,6 +176,89 @@ TEST(Trace, EndToEndRunProducesPlausibleTimeline)
     EXPECT_GT(tw.eventCount(), 10u);
     EXPECT_NE(os.str().find("softirq"), std::string::npos);
     EXPECT_NE(os.str().find("dma "), std::string::npos);
+}
+
+TEST(Trace, EachNodeTracesOnItsOwnProcessWithoutOverlap)
+{
+    // `--trace` attaches one writer to every component the telemetry
+    // hub knows.  Each node's CPU and DMA spans must land on its own
+    // Chrome process, named after the node, and each DMA channel on
+    // its own track, so no two complete events on one (pid, tid)
+    // overlap.
+    Simulation sim;
+    net::Switch fabric(sim);
+    const auto cfg =
+        core::NodeConfig::server(core::IoatConfig::enabled(), 1);
+    core::Node a(sim, fabric, cfg);
+    core::Node b(sim, fabric, cfg);
+    TraceWriter tw;
+    sim.telemetry().attachTracerAll(&tw);
+
+    // A bidirectional stream: both nodes send and receive at once.
+    for (core::Node *n : {&a, &b}) {
+        n->spawn([](core::Node &srv) -> Coro<void> {
+            sock::Listener l(srv.transport(), 80);
+            sock::Socket c = co_await l.accept();
+            while (co_await c.recv(sim::kib(64)) > 0) {
+            }
+        }(*n));
+    }
+    for (auto [from, to] : {std::pair{&a, &b}, std::pair{&b, &a}}) {
+        from->spawn([](core::Node &cl, net::NodeId dst) -> Coro<void> {
+            sock::Socket c = co_await cl.transport().connect(dst, 80);
+            for (;;)
+                co_await c.sendAll(sim::kib(64));
+        }(*from, to->id()));
+    }
+    sim.runFor(sim::milliseconds(20));
+    sim.telemetry().attachTracerAll(nullptr);
+
+    // Timestamps are exact to the tick, so they convert back.
+    std::ostringstream os;
+    tw.write(os);
+    const std::string out = os.str();
+
+    std::map<int, std::string> processes;
+    const std::regex proc_re(R"re("name":"process_name","ph":"M",)re"
+                             R"re("pid":(\d+),"args":\{"name":"([^"]*)")re");
+    for (std::sregex_iterator it(out.begin(), out.end(), proc_re), end;
+         it != end; ++it)
+        processes[std::stoi((*it)[1])] = (*it)[2];
+
+    // (pid, tid) -> [start, end) of every complete event, in ticks.
+    std::map<std::pair<int, int>, std::vector<std::pair<long, long>>>
+        tracks;
+    const std::regex span_re(R"re("ph":"X","ts":([^,]+),"dur":([^,]+),)re"
+                             R"re("pid":(\d+),"tid":(\d+))re");
+    for (std::sregex_iterator it(out.begin(), out.end(), span_re), end;
+         it != end; ++it) {
+        const long start = std::lround(std::stod((*it)[1]) * 1e3);
+        const long dur = std::lround(std::stod((*it)[2]) * 1e3);
+        tracks[{std::stoi((*it)[3]), std::stoi((*it)[4])}].push_back(
+            {start, start + dur});
+    }
+
+    std::set<std::string> span_processes;
+    for (const auto &[track, spans] : tracks)
+        span_processes.insert(processes[track.first]);
+    EXPECT_EQ(span_processes,
+              (std::set<std::string>{"node" + std::to_string(a.id()),
+                                     "node" + std::to_string(b.id())}));
+
+    std::size_t spans_seen = 0;
+    std::size_t dma_tracks = 0;
+    for (auto &[track, spans] : tracks) {
+        if (track.second >= TraceWriter::Lanes::dma)
+            ++dma_tracks;
+        std::sort(spans.begin(), spans.end());
+        spans_seen += spans.size();
+        for (std::size_t i = 1; i < spans.size(); ++i)
+            EXPECT_GE(spans[i].first, spans[i - 1].second)
+                << "overlap on pid " << track.first << " tid "
+                << track.second;
+    }
+    EXPECT_GT(spans_seen, 100u);
+    EXPECT_GT(dma_tracks, 1u); // both nodes copy through their engines
 }
 
 TEST(Trace, ClearDropsEvents)

@@ -1,5 +1,5 @@
-// Fixture: the sock:: facade reaching past the bypass-transport
-// interface header into an xpt/ internal — one layering finding.
+// Fixture: the sock:: facade reaching into an xpt/ internal — one
+// layering finding.
 #include "xpt/rings.hh"
 
 namespace sock {

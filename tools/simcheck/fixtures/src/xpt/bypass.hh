@@ -1,6 +1,5 @@
-// Fixture stub of the bypass-transport interface header — the one
-// xpt/ header src/sock/ is allowed to include.  It pulls in the
-// internals itself; only the *direct* edge from sock/ is policed.
+// Fixture stub of the bypass transport's header.  It pulls in an
+// xpt/ internal itself; only the *direct* edge from sock/ is policed.
 #pragma once
 
 #include "xpt/rings.hh"

@@ -1,5 +1,5 @@
-// Fixture stub of a bypass-transport internal: src/sock/ must reach
-// the transport only through xpt/bypass.hh, never this header.
+// Fixture stub of a bypass-transport internal: src/sock/ includes no
+// xpt/ header, this one included.
 #pragma once
 
 namespace xpt {

@@ -60,10 +60,9 @@ Rule catalog (DESIGN.md §10 is the narrative version):
                   * src/simcore/ must not include any upper layer;
                   * src/mem, src/nic, src/dma must not include
                     datacenter/ headers;
-                  * src/sock/ may reach the kernel-bypass transport
-                    only through its interface header xpt/bypass.hh —
-                    never xpt/ internals, so the facade stays
-                    swappable;
+                  * src/sock/ includes no xpt/ header — both
+                    transports run the one protocol in tcp/, so the
+                    facade reaches them through tcp/protocol.hh;
                   * model layers (src/mem, src/nic, src/dma, src/tcp,
                     src/xpt) must not include simcore/profile.hh —
                     models report costs through the ProfileSink hook
@@ -206,14 +205,12 @@ def check_layering(includes):
                 f"model code reports costs through the ProfileSink "
                 f"hook in reqtrace.hh, and only the bench/test "
                 f"harness attaches the concrete profiler"))
-        elif src_layer == "src/sock" and tgt_layer == "src/xpt" and \
-                not tgt.endswith("xpt/bypass.hh"):
+        elif src_layer == "src/sock" and tgt_layer == "src/xpt":
             findings.append(Finding(
                 "layering", f["file"], f["line"],
-                f"src/sock/ must reach the bypass transport only "
-                f"through its interface header xpt/bypass.hh ({tgt} "
-                f"is an xpt/ internal); the facade must not depend on "
-                f"transport implementation details"))
+                f"src/sock/ must not include xpt/ ({tgt}); both "
+                f"transports run the protocol in tcp/protocol.hh, and "
+                f"the facade reaches them through it"))
     return findings
 
 

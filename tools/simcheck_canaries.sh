@@ -71,13 +71,11 @@ sed -i '1i #include "tcp/stack.hh"' bench/fig03_bandwidth.cpp
 expect_fail layering bench/fig03_bandwidth.cpp
 restore bench/fig03_bandwidth.cpp
 
-# 3b. layering: the sock:: facade reaching past the bypass-transport
-#     interface header (xpt/bypass.hh) into an xpt/ internal.  The
-#     only other file under src/xpt/ is the implementation TU itself;
-#     textually including it is exactly the dependency the rule bans
-#     (simcheck reads sources, it never compiles them).
+# 3b. layering: the sock:: facade depending on the bypass stack
+#     again.  Both transports run the protocol in tcp/, so src/sock/
+#     includes no xpt/ header — not even the stack's own.
 backup src/sock/socket.hh
-sed -i 's|#include "xpt/bypass.hh"|#include "xpt/bypass.cc"|' \
+sed -i 's|^#include "tcp/protocol.hh"|&\n#include "xpt/bypass.hh"|' \
     src/sock/socket.hh
 expect_fail layering src/sock/socket.hh
 restore src/sock/socket.hh
