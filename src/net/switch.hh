@@ -13,13 +13,23 @@
  * delivery order at a tick follows the sender's lane and the
  * delivered work runs on the receiver's.
  *
+ * Without an injector nothing happens when a burst's last bit leaves
+ * the sender, so `admit()` schedules the delivery at transmit time,
+ * for depart + latency: one event per hop instead of two.  The
+ * delivery keeps its (when, sender lane) key and its order among the
+ * sender's other deliveries; only its seq relative to the sender's
+ * own events at the arrival tick moves, and those touch no state a
+ * delivery touches (DESIGN.md §4).
+ *
  * The switch is also the network's fault-injection point: with a
  * `sim::FaultInjector` attached, every forwarded burst consults the
  * per-link fault site ("link.<src>.<dst>") for drop / duplicate /
  * extra-delay faults, and deliveries to nodes inside a crash window
  * are dropped.  Sites are keyed by the (src, dst) pair, so each
  * site's RNG stream is drawn only from one sender's traffic to one
- * receiver.  Without an injector the routing path is untouched.
+ * receiver.  The link decision, its RNG draw and the sender-crash
+ * check belong to the depart tick, so with an injector attached a
+ * burst still reaches `forward()` at that tick.
  */
 
 #ifndef IOAT_NET_SWITCH_HH
@@ -83,13 +93,38 @@ class Switch : public sim::telemetry::Instrumented
     std::size_t attachedCount() const { return ports_.size(); }
     Tick forwardLatency() const { return latency_; }
 
-    /** Route every burst through @p injector (nullptr to disable). */
+    /**
+     * Route every burst through @p injector (nullptr to disable).
+     * Attach it before traffic starts: a delivery scheduled at
+     * transmit while no injector was attached has skipped the
+     * depart-tick link decision the injector would have made.
+     */
     void
     setFaultInjector(sim::FaultInjector *injector)
     {
+        sim::simAssert(faults_ != nullptr || inFlight_ == 0,
+                       "fault injector attached with fault-free "
+                       "deliveries in flight");
         faults_ = injector;
         linkSites_.clear();
         linkSites_.resize(ports_.size());
+    }
+
+    /**
+     * Take a burst from a NIC at transmit time; its last bit leaves
+     * the sender at @p depart (>= now).  Without an injector the
+     * delivery is scheduled here, at depart + latency; with one, the
+     * burst reaches forward() at @p depart.
+     */
+    void
+    admit(const Burst &burst, Tick depart)
+    {
+        if (faults_) {
+            sim_.queue().schedule(depart,
+                                  [this, burst] { forward(burst); });
+            return;
+        }
+        send(burst, depart + latency_);
     }
 
     /**
@@ -123,10 +158,10 @@ class Switch : public sim::telemetry::Instrumented
             }
             if (d.duplicate) {
                 traceFault("fault:dup link", burst.dst);
-                send(burst, latency);
+                send(burst, sim_.now() + latency);
             }
         }
-        send(burst, latency);
+        send(burst, sim_.now() + latency);
     }
 
     /** @name Statistics
@@ -149,15 +184,16 @@ class Switch : public sim::telemetry::Instrumented
 
   private:
     /**
-     * Schedule one delivery: ordered on the sender's lane, executed
-     * on the receiver's.
+     * Schedule one delivery at @p arrive: ordered on the sender's
+     * lane, executed on the receiver's.
      */
     void
-    send(const Burst &burst, Tick latency)
+    send(const Burst &burst, Tick arrive)
     {
         const auto prio = static_cast<std::uint32_t>(burst.src) + 1;
         const auto exec = static_cast<std::uint32_t>(burst.dst) + 1;
-        sim_.queue().scheduleCross(sim_.now() + latency, prio, exec,
+        ++inFlight_;
+        sim_.queue().scheduleCross(arrive, prio, exec,
                                    [this, burst] { deliver(burst); });
     }
 
@@ -165,6 +201,11 @@ class Switch : public sim::telemetry::Instrumented
     void
     deliver(const Burst &burst)
     {
+        --inFlight_;
+        // admit() schedules before any port check, so the fault-free
+        // path checks the destination here, inside the run.
+        sim::simAssert(burst.dst < ports_.size(),
+                       "burst addressed to unattached node");
         // The destination may have detached or crashed while the
         // burst was in flight; finish the drop here rather than
         // invoking a dead handler.
@@ -208,6 +249,8 @@ class Switch : public sim::telemetry::Instrumented
     std::vector<RxHandler> ports_;
     sim::FaultInjector *faults_ = nullptr;
     std::vector<std::vector<sim::FaultSite *>> linkSites_;
+    /** Deliveries scheduled and not yet run. */
+    std::uint64_t inFlight_ = 0;
     sim::stats::Counter deadLetters_;
 };
 

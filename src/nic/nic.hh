@@ -264,7 +264,9 @@ class Nic
 
     /**
      * Transmit a burst: serialize on the flow's port, then hand to
-     * the switch.  Returns the tick at which the last bit leaves.
+     * the switch (which, without a fault injector, schedules the
+     * delivery right away).  Returns the tick at which the last bit
+     * leaves.
      */
     Tick
     transmit(Burst burst)
@@ -282,9 +284,7 @@ class Nic
             burst.traceTxStart = start;
         }
 
-        sim_.queue().schedule(depart, [this, burst] {
-            fabric_.forward(burst);
-        });
+        fabric_.admit(burst, depart);
         return depart;
     }
 

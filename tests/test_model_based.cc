@@ -12,6 +12,7 @@
 #include <deque>
 #include <list>
 #include <map>
+#include <optional>
 #include <queue>
 #include <tuple>
 #include <utility>
@@ -255,6 +256,239 @@ TEST(ModelBased, ChannelPreservesPerProducerOrder)
                           [static_cast<std::size_t>(k)],
                       k);
     }
+}
+
+// --------------------------------------------------------------------
+// Channel wake rounds vs the pulse-all Channel they replace
+// --------------------------------------------------------------------
+
+/**
+ * The reference: a Channel whose push, pop and close() pulse a
+ * sim::Event, which posts one resume per parked waiter; a resumed
+ * waiter that cannot proceed parks again.  sim::Channel's wake rounds
+ * must run exactly what this runs, with one event per round.
+ */
+template <typename T>
+class PulseAllChannel
+{
+  public:
+    PulseAllChannel(Simulation &sim, std::size_t capacity = 0)
+        : sim_(sim), capacity_(capacity)
+    {}
+
+    PulseAllChannel(const PulseAllChannel &) = delete;
+    PulseAllChannel &operator=(const PulseAllChannel &) = delete;
+
+    std::size_t size() const { return items_.size(); }
+    bool closed() const { return closed_; }
+
+    sim::Coro<void>
+    send(T value)
+    {
+        while (capacity_ != 0 && items_.size() >= capacity_ && !closed_) {
+            notFull_.reset();
+            co_await notFull_.wait();
+        }
+        sim::simAssert(!closed_, "send on closed Channel");
+        items_.push_back(std::move(value));
+        notEmpty_.pulse();
+    }
+
+    void
+    push(T value)
+    {
+        sim::simAssert(!closed_, "push on closed Channel");
+        items_.push_back(std::move(value));
+        notEmpty_.pulse();
+    }
+
+    sim::Coro<std::optional<T>>
+    recv()
+    {
+        while (items_.empty() && !closed_)
+            co_await notEmpty_.wait();
+        if (items_.empty())
+            co_return std::optional<T>{};
+        T v = std::move(items_.front());
+        items_.pop_front();
+        notFull_.pulse();
+        co_return std::optional<T>(std::move(v));
+    }
+
+    std::optional<T>
+    tryRecv()
+    {
+        if (items_.empty())
+            return std::nullopt;
+        T v = std::move(items_.front());
+        items_.pop_front();
+        notFull_.pulse();
+        return v;
+    }
+
+    void
+    close()
+    {
+        closed_ = true;
+        notEmpty_.pulse();
+        notFull_.pulse();
+    }
+
+  private:
+    Simulation &sim_;
+    std::size_t capacity_;
+    bool closed_ = false;
+    std::deque<T> items_;
+    sim::Event notEmpty_{sim_};
+    sim::Event notFull_{sim_};
+};
+
+/**
+ * One scripted task of a wake-order schedule.  Each step waits
+ * `delay` ticks first (0 = a same-tick yield, -1 = no wait at all).
+ * A receiver step's `arg` is 0 (recv), 1 (recv, then push the value
+ * back synchronously) or 2 (tryRecv); a sender's or pusher's is the
+ * value it sends.
+ */
+struct WakeTask
+{
+    enum Kind { receiver, sender, pusher } kind;
+    std::uint32_t lane;
+    std::vector<std::pair<int, int>> steps;
+};
+
+/** (tick, task, value | nullopt); task -1 is the close(). */
+using WakeTrace =
+    std::vector<std::tuple<std::uint64_t, int, std::optional<int>>>;
+
+sim::Coro<void>
+wakeStepDelay(Simulation &sim, int delay)
+{
+    if (delay >= 0)
+        co_await sim.delay(sim::Tick{static_cast<std::uint64_t>(delay)});
+}
+
+/** What one run of a wake-order schedule shares between its tasks. */
+template <typename Chan>
+struct WakeRun
+{
+    explicit WakeRun(Simulation &s) : sim(s) {}
+
+    Simulation &sim;
+    Chan ch{sim, 2};
+    WakeTrace trace;
+    int producers = 0;
+    sim::Event producersDone{sim};
+};
+
+template <typename Chan>
+sim::Coro<void>
+wakeTask(WakeRun<Chan> &run, const WakeTask &t, int id)
+{
+    for (const auto &[delay, arg] : t.steps) {
+        co_await wakeStepDelay(run.sim, delay);
+        if (t.kind != WakeTask::receiver) {
+            if (t.kind == WakeTask::sender)
+                co_await run.ch.send(arg);
+            else
+                run.ch.push(arg);
+            run.trace.emplace_back(run.sim.now().count(), id, arg);
+            continue;
+        }
+        if (arg == 2) {
+            run.trace.emplace_back(run.sim.now().count(), id,
+                                   run.ch.tryRecv());
+            continue;
+        }
+        const std::optional<int> v = co_await run.ch.recv();
+        run.trace.emplace_back(run.sim.now().count(), id, v);
+        if (!v)
+            co_return; // closed and drained
+        if (arg == 1 && !run.ch.closed())
+            run.ch.push(*v + 1000);
+    }
+    if (t.kind != WakeTask::receiver && --run.producers == 0)
+        run.producersDone.trigger();
+}
+
+/** Close once every producer has finished (nothing sends after). */
+template <typename Chan>
+sim::Coro<void>
+wakeCloser(WakeRun<Chan> &run, sim::Tick at)
+{
+    co_await run.sim.delay(at);
+    co_await run.producersDone.wait();
+    run.ch.close();
+    run.trace.emplace_back(run.sim.now().count(), -1, std::nullopt);
+}
+
+template <typename Chan>
+WakeTrace
+runWakeSchedule(const std::vector<WakeTask> &tasks, sim::Tick close_at,
+                std::uint64_t &events)
+{
+    Simulation sim;
+    WakeRun<Chan> run(sim);
+    for (std::size_t i = 0; i < tasks.size(); ++i) {
+        if (tasks[i].kind != WakeTask::receiver)
+            ++run.producers;
+        sim.spawnLane(tasks[i].lane,
+                      wakeTask(run, tasks[i], static_cast<int>(i)));
+    }
+    sim.spawnLane(1, wakeCloser(run, close_at));
+    sim.run();
+    events = sim.executedEvents();
+    return std::move(run.trace);
+}
+
+TEST(ModelBased, ChannelWakeMatchesPulseAll)
+{
+    std::uint64_t rounds_events = 0;
+    std::uint64_t pulse_events = 0;
+    std::size_t closed_waiters = 0;
+    for (std::uint64_t seed = 1; seed <= 40; ++seed) {
+        Rng rng(seed);
+        const auto delay = [&rng] {
+            return static_cast<int>(rng.uniformInt(0, 5)) - 1;
+        };
+        std::vector<WakeTask> tasks;
+        const auto receivers = rng.uniformInt(3, 8);
+        for (std::uint64_t r = 0; r < receivers; ++r) {
+            WakeTask t{WakeTask::receiver,
+                       static_cast<std::uint32_t>(rng.uniformInt(1, 3)),
+                       {}};
+            for (int k = 0; k < 40; ++k) {
+                const double u = rng.uniform();
+                t.steps.emplace_back(delay(),
+                                     u < 0.2 ? 1 : (u < 0.3 ? 2 : 0));
+            }
+            tasks.push_back(t);
+        }
+        for (int p = 0; p < 4; ++p) {
+            WakeTask t{p < 2 ? WakeTask::sender : WakeTask::pusher,
+                       static_cast<std::uint32_t>(rng.uniformInt(1, 3)),
+                       {}};
+            for (int k = 0; k < 12; ++k)
+                t.steps.emplace_back(delay() + 2, p * 100 + k);
+            tasks.push_back(t);
+        }
+        const sim::Tick close_at{rng.uniformInt(0, 60)};
+
+        std::uint64_t ev_rounds = 0;
+        std::uint64_t ev_pulse = 0;
+        const WakeTrace got = runWakeSchedule<sim::Channel<int>>(
+            tasks, close_at, ev_rounds);
+        const WakeTrace want = runWakeSchedule<PulseAllChannel<int>>(
+            tasks, close_at, ev_pulse);
+        ASSERT_EQ(got, want) << "seed " << seed;
+        rounds_events += ev_rounds;
+        pulse_events += ev_pulse;
+        for (const auto &[tick, task, v] : got)
+            closed_waiters += task >= 0 && !v ? 1 : 0;
+    }
+    // The schedules exercised multi-waiter rounds and close().
+    EXPECT_LT(rounds_events, pulse_events);
+    EXPECT_GT(closed_waiters, 0u);
 }
 
 // --------------------------------------------------------------------

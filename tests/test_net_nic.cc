@@ -94,6 +94,28 @@ TEST(NicSwitch, DeliversBurstToDestination)
     EXPECT_EQ(t.sim.now(), 2 * wire + sim::Tick{2000});
 }
 
+TEST(NicSwitch, FaultFreeHopIsOneEvent)
+{
+    // A burst runs delivery, RX completion and the interrupt: the
+    // fault-free switch hop adds no event of its own.  An attached
+    // injector (with no fault configured) keeps the depart-tick
+    // forward event, and the burst arrives at the same tick.
+    for (const bool injector : {false, true}) {
+        TwoNodes t;
+        sim::FaultInjector faults(1);
+        if (injector)
+            t.fabric.setFaultInjector(&faults);
+        Tick arrived{};
+        t.b.setRxHandler([&](unsigned, std::vector<Burst> &&) {
+            arrived = t.sim.now();
+        });
+        t.a.transmit(dataBurst(t.b.id(), 0, 1500, t.a));
+        EXPECT_EQ(t.sim.run(), injector ? 4u : 3u);
+        const Tick wire = t.a.wireTime(t.a.wireBytesFor(sim::Bytes{1500}));
+        EXPECT_EQ(arrived, 2 * wire + sim::Tick{2000});
+    }
+}
+
 TEST(NicSwitch, SerializationLimitsPortThroughput)
 {
     TwoNodes t;
@@ -316,6 +338,19 @@ TEST(SwitchDeathTest, UnattachedDestinationPanics)
     Burst b = dataBurst(99, 0, 100, t.a);
     t.a.transmit(b);
     EXPECT_DEATH(t.sim.run(), "unattached");
+}
+
+TEST(SwitchDeathTest, InjectorAttachedWithDeliveriesInFlightPanics)
+{
+    // A fault-free burst's delivery is scheduled at transmit; an
+    // injector attached before it departs could not make the link
+    // decision the depart tick owes it.
+    TwoNodes t;
+    sim::FaultInjector faults(1);
+    t.a.transmit(dataBurst(t.b.id(), 0, 100, t.a));
+    EXPECT_DEATH(t.fabric.setFaultInjector(&faults), "in flight");
+    t.sim.run();
+    t.fabric.setFaultInjector(&faults);
 }
 
 } // namespace

@@ -637,4 +637,27 @@ TEST(Profile, BenchdiffGatesOnThroughputRegression)
     std::remove("tp_model.json");
 }
 
+TEST(Profile, PerfabDryRunPrintsAbbaSchedule)
+{
+    const auto r = runTool(std::string(IOAT_SOURCE_DIR) +
+                           "/tools/perfab.py --base HEAD --workload "
+                           "datacenter --pairs 3 --seconds 30 --dry-run");
+    EXPECT_EQ(r.exitCode, 0) << r.output;
+    // Run order: one warm-up per side, then A B | B A | A B.
+    std::string sides;
+    std::istringstream in(r.output);
+    for (std::string line; std::getline(in, line);) {
+        std::istringstream fields(line);
+        int n = 0;
+        std::string side;
+        if (fields >> n >> side)
+            sides += side;
+    }
+    EXPECT_EQ(sides, "ABABBAAB") << r.output;
+    EXPECT_NE(r.output.find("pair 3   perfbench/run.py --workload "
+                            "datacenter --seed 1 --seconds 30"),
+              std::string::npos)
+        << r.output;
+}
+
 } // namespace

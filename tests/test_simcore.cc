@@ -600,6 +600,37 @@ TEST(Channel, PushDeliversToWaitingReceiver)
     EXPECT_EQ(got, "hello");
 }
 
+TEST(Channel, OneWakeRoundRunsOneEventForAllParkedReceivers)
+{
+    Simulation sim;
+    Channel<int> ch(sim);
+    std::vector<int> got;
+    int closed_seen = 0;
+    constexpr int kParked = 5;
+    for (int i = 0; i < kParked; ++i) {
+        sim.spawn([](Channel<int> &c, std::vector<int> &out, int &nil,
+                     int id) -> Coro<void> {
+            if (auto v = co_await c.recv())
+                out.push_back(id * 100 + *v);
+            else
+                ++nil;
+        }(ch, got, closed_seen, i));
+    }
+    sim.run();
+
+    // One push wakes all five in one round: the longest-parked
+    // receiver takes the item, the other four park again unresumed.
+    // A pulse-all wake-up ran one event per receiver.
+    ch.push(7);
+    EXPECT_EQ(sim.run(), 1u);
+    EXPECT_EQ(got, std::vector<int>{7});
+
+    // close() is one round too: the four left all see nullopt.
+    ch.close();
+    EXPECT_EQ(sim.run(), 1u);
+    EXPECT_EQ(closed_seen, kParked - 1);
+}
+
 // --------------------------------------------------------------------
 // Rng / Zipf
 // --------------------------------------------------------------------

@@ -7,8 +7,12 @@ and the git revision.  This tool compares a baseline against a current
 run and exits non-zero on regression, so CI can gate on it:
 
  * model fields compare exactly — the bench name must match, and with
-   --require-events-equal the executed-event count must too (it is
-   deterministic; a change means the model changed, not the machine);
+   --require-events-equal the executed-event count must too.  The
+   count is deterministic, so a change means the code changed, not
+   the machine: either the model (the goldens move too) or only how
+   many events the engine spends on the same results (the goldens
+   and perfbench's pins hold; the baselines are regenerated with
+   that change);
  * perf fields compare with tolerance — events/sec may not drop below
    --min-ratio x baseline, peak RSS may not exceed --max-rss-ratio x
    baseline.  Checked-in baselines come from a different machine, so
