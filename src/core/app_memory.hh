@@ -36,7 +36,6 @@ class AppMemory
         : host_(host), window_(host.sim, window)
     {
         footprint_ = host_.cache.addFootprint(std::move(name), 0);
-        footprintSize_ = host_.cache.sizeSlot(footprint_);
     }
 
     ~AppMemory() { host_.cache.removeFootprint(footprint_); }
@@ -178,14 +177,13 @@ class AppMemory
     {
         const std::uint64_t transient = std::min<std::uint64_t>(
             window_.estimate(), 8 * host_.cache.capacity());
-        *footprintSize_ =
-            static_cast<std::size_t>(persistent_ + transient);
+        host_.cache.resizeFootprint(
+            footprint_, static_cast<std::size_t>(persistent_ + transient));
     }
 
     tcp::Host host_;
     mem::RollingBytes window_;
     mem::FootprintId footprint_;
-    std::size_t *footprintSize_ = nullptr;
     std::uint64_t persistent_ = 0;
 };
 

@@ -20,7 +20,7 @@
 #include <cstddef>
 #include <cstdint>
 #include <string>
-#include <map>
+#include <vector>
 
 #include "simcore/assert.hh"
 #include "simcore/telemetry/registry.hh"
@@ -32,6 +32,12 @@ using FootprintId = std::uint32_t;
 
 /**
  * Tracks named memory footprints competing for a fixed cache capacity.
+ *
+ * Residency depends on only two totals, the protected and the
+ * streaming bytes, so the model keeps them as running sums that every
+ * add, resize and remove updates: a residency query is O(1) whatever
+ * the number of footprints.  Unsigned sums are exact in any order of
+ * updates, so a query returns the same double a recount would.
  */
 class CacheModel
 {
@@ -57,9 +63,11 @@ class CacheModel
     addFootprint(std::string name, std::size_t bytes,
                  bool protectedHot = false)
     {
-        const FootprintId id = nextId_++;
-        footprints_.emplace(id, Footprint{std::move(name), bytes,
-                                          protectedHot});
+        const auto id = static_cast<FootprintId>(footprints_.size());
+        footprints_.push_back(
+            Footprint{std::move(name), bytes, protectedHot, true});
+        sumOf(protectedHot) += bytes;
+        ++live_;
         return id;
     }
 
@@ -67,46 +75,30 @@ class CacheModel
     void
     resizeFootprint(FootprintId id, std::size_t bytes)
     {
-        auto it = footprints_.find(id);
-        sim::simAssert(it != footprints_.end(), "unknown footprint");
-        it->second.bytes = bytes;
+        Footprint &f = at(id);
+        std::size_t &sum = sumOf(f.protectedHot);
+        sum -= f.bytes;
+        sum += bytes;
+        f.bytes = bytes;
     }
 
     void
     removeFootprint(FootprintId id)
     {
-        footprints_.erase(id);
+        Footprint &f = at(id);
+        sumOf(f.protectedHot) -= f.bytes;
+        f.bytes = 0;
+        f.live = false;
+        --live_;
     }
 
-    /**
-     * Stable pointer to a footprint's size for hot per-segment resize
-     * paths (the map is node-based, so the pointer stays valid).
-     * Valid until the footprint is removed.
-     */
-    std::size_t *
-    sizeSlot(FootprintId id)
-    {
-        auto it = footprints_.find(id);
-        sim::simAssert(it != footprints_.end(), "unknown footprint");
-        return &it->second.bytes;
-    }
-
-    std::size_t
-    footprintSize(FootprintId id) const
-    {
-        auto it = footprints_.find(id);
-        sim::simAssert(it != footprints_.end(), "unknown footprint");
-        return it->second.bytes;
-    }
+    std::size_t footprintSize(FootprintId id) const { return at(id).bytes; }
 
     /** Sum of all registered footprints. */
     std::size_t
     totalFootprint() const
     {
-        std::size_t sum = 0;
-        for (const auto &[id, f] : footprints_)
-            sum += f.bytes;
-        return sum;
+        return protectedBytes_ + streamingBytes_;
     }
 
     /**
@@ -120,35 +112,24 @@ class CacheModel
     double
     residency(FootprintId id) const
     {
-        auto it = footprints_.find(id);
-        sim::simAssert(it != footprints_.end(), "unknown footprint");
-        const Footprint &f = it->second;
+        const Footprint &f = at(id);
         if (f.bytes == 0)
             return 1.0;
 
-        std::size_t protectedSum = 0, streamingSum = 0;
-        for (const auto &[fid, fp] : footprints_) {
-            if (fp.protectedHot)
-                protectedSum += fp.bytes;
-            else
-                streamingSum += fp.bytes;
-        }
-
         if (f.protectedHot) {
-            if (protectedSum <= capacity_)
+            if (protectedBytes_ <= capacity_)
                 return 1.0;
             return static_cast<double>(capacity_) /
-                   static_cast<double>(protectedSum);
+                   static_cast<double>(protectedBytes_);
         }
 
-        const std::size_t left =
-            protectedSum >= capacity_ ? 0 : capacity_ - protectedSum;
-        if (streamingSum <= left)
+        const std::size_t left = streamingCapacity();
+        if (streamingBytes_ <= left)
             return 1.0;
         if (left == 0)
             return 0.0;
         return static_cast<double>(left) /
-               static_cast<double>(streamingSum);
+               static_cast<double>(streamingBytes_);
     }
 
     /**
@@ -161,16 +142,8 @@ class CacheModel
     {
         if (bytes == 0)
             return 1.0;
-        std::size_t protectedSum = 0, streamingSum = 0;
-        for (const auto &[fid, fp] : footprints_) {
-            if (fp.protectedHot)
-                protectedSum += fp.bytes;
-            else
-                streamingSum += fp.bytes;
-        }
-        const std::size_t left =
-            protectedSum >= capacity_ ? 0 : capacity_ - protectedSum;
-        const std::size_t demand = streamingSum + bytes;
+        const std::size_t left = streamingCapacity();
+        const std::size_t demand = streamingBytes_ + bytes;
         if (demand <= left)
             return 1.0;
         if (left == 0)
@@ -178,7 +151,7 @@ class CacheModel
         return static_cast<double>(left) / static_cast<double>(demand);
     }
 
-    std::size_t footprintCount() const { return footprints_.size(); }
+    std::size_t footprintCount() const { return live_; }
 
     /** Publish cache telemetry (called under the node's "cache"
      *  scope). */
@@ -191,16 +164,11 @@ class CacheModel
             "modelled L2 capacity");
         reg.scalar(
             "footprints",
-            [this] { return static_cast<double>(footprints_.size()); },
+            [this] { return static_cast<double>(live_); },
             "registered working sets");
         reg.probe(
             "footprintBytes", sim::telemetry::ProbeKind::gauge,
-            [this] {
-                std::size_t sum = 0;
-                for (const auto &[id, f] : footprints_)
-                    sum += f.bytes;
-                return static_cast<double>(sum);
-            },
+            [this] { return static_cast<double>(totalFootprint()); },
             "total working-set demand on the cache");
     }
 
@@ -210,11 +178,48 @@ class CacheModel
         std::string name;
         std::size_t bytes;
         bool protectedHot;
+        bool live;
     };
 
+    bool
+    known(FootprintId id) const
+    {
+        return id < footprints_.size() && footprints_[id].live;
+    }
+
+    const Footprint &
+    at(FootprintId id) const
+    {
+        sim::simAssert(known(id), "unknown footprint");
+        return footprints_[id];
+    }
+
+    Footprint &
+    at(FootprintId id)
+    {
+        sim::simAssert(known(id), "unknown footprint");
+        return footprints_[id];
+    }
+
+    std::size_t &
+    sumOf(bool protectedHot)
+    {
+        return protectedHot ? protectedBytes_ : streamingBytes_;
+    }
+
+    /** Capacity left to the streaming footprints. */
+    std::size_t
+    streamingCapacity() const
+    {
+        return protectedBytes_ >= capacity_ ? 0 : capacity_ - protectedBytes_;
+    }
+
     std::size_t capacity_;
-    FootprintId nextId_ = 1;
-    std::map<FootprintId, Footprint> footprints_;
+    /** Indexed by id; a removed footprint's slot stays, dead. */
+    std::vector<Footprint> footprints_;
+    std::size_t live_ = 0;
+    std::size_t protectedBytes_ = 0;
+    std::size_t streamingBytes_ = 0;
 };
 
 } // namespace ioat::mem

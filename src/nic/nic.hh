@@ -24,6 +24,7 @@
 #include <cstddef>
 #include <cstdint>
 #include <functional>
+#include <utility>
 #include <vector>
 
 #include "net/burst.hh"
@@ -32,7 +33,6 @@
 #include "simcore/pool.hh"
 #include "simcore/sim.hh"
 #include "simcore/stats.hh"
-#include "simcore/sync.hh"
 #include "simcore/telemetry/registry.hh"
 #include "simcore/types.hh"
 
@@ -91,19 +91,21 @@ struct NicConfig
 
 /**
  * One RX queue's hand-off from the NIC interrupt to the stack's
- * receive loop: a FIFO of batches, one per interrupt, and the event
- * that wakes the loop.  One consumer per mailbox, so a woken loop
- * always finds a batch.
+ * receive loop: a FIFO of batches, one per interrupt.  The mailbox has
+ * exactly one consumer, so it parks that loop in a single handle: a
+ * batch posted while the loop is parked posts one resume (at the
+ * current tick, behind already-queued events), a batch posted while it
+ * is busy posts nothing, and a woken loop always finds a batch.
  */
 class RxMailbox
 {
   public:
-    explicit RxMailbox(Simulation &sim) : ready_(sim) {}
+    explicit RxMailbox(Simulation &sim) : sim_(sim) {}
 
     RxMailbox(const RxMailbox &) = delete;
     RxMailbox &operator=(const RxMailbox &) = delete;
 
-    /** Queue one interrupt's batch and wake the waiting loop. */
+    /** Queue one interrupt's batch and wake the parked loop. */
     void
     post(std::vector<Burst> &&batch)
     {
@@ -117,7 +119,10 @@ class RxMailbox
             head_ = 0;
         }
         batches_.push_back(std::move(batch));
-        ready_.pulse();
+        if (parked_) {
+            sim_.queue().post(
+                [h = std::exchange(parked_, {})] { h.resume(); });
+        }
     }
 
     /** Awaitable: the oldest queued batch, waiting while none is. */
@@ -137,7 +142,9 @@ class RxMailbox
             void
             await_suspend(std::coroutine_handle<> h)
             {
-                box.ready_.addWaiter(h);
+                sim::simAssert(!box.parked_,
+                               "RX mailbox has a second consumer");
+                box.parked_ = h;
             }
 
             std::vector<Burst>
@@ -151,9 +158,11 @@ class RxMailbox
     }
 
   private:
+    Simulation &sim_;
     std::vector<std::vector<Burst>> batches_; ///< taken below head_
     std::size_t head_ = 0;
-    sim::Event ready_;
+    /** The consumer, while it waits for a batch. */
+    std::coroutine_handle<> parked_;
 };
 
 /**
@@ -373,7 +382,8 @@ class Nic
         // Wire time was consumed either way; the drop happens at the
         // descriptor ring, after the bits crossed the link.
         rxBytes_.inc(burst.wireBytes);
-        auto &q = rxQueues_[queueFor(burst.flow)];
+        const unsigned queue = queueFor(burst.flow);
+        auto &q = rxQueues_[queue];
         if (cfg_.rxRingSlots > 0 && q.pending.size() >= cfg_.rxRingSlots) {
             rxOverflows_.inc();
             traceRxDrop("nic:rx-overflow");
@@ -403,13 +413,10 @@ class Nic
         }
 
         if (q.pending.size() >= cfg_.coalesceMaxBursts) {
-            fireInterrupt(queueFor(burst.flow));
+            fireInterrupt(queue);
         } else if (!q.irqTimer) {
             q.irqTimer = sim_.queue().scheduleIn(
-                cfg_.coalesceDelay,
-                [this, queue = queueFor(burst.flow)] {
-                    fireInterrupt(queue);
-                });
+                cfg_.coalesceDelay, [this, queue] { fireInterrupt(queue); });
         }
     }
 

@@ -32,16 +32,12 @@
 
 namespace ioat::sim::telemetry {
 
-/** Git revision baked in at configure time (root CMakeLists.txt). */
-inline const char *
-gitRevision()
-{
-#ifdef IOAT_GIT_REV
-    return IOAT_GIT_REV;
-#else
-    return "unknown";
-#endif
-}
+/**
+ * Revision of the tree this binary was built from, stamped at build
+ * time (tools/gitrev.cmake): the short HEAD hash, "-dirty" when tracked
+ * files differed from HEAD, "unknown" outside a git checkout.
+ */
+const char *gitRevision();
 
 class RunReport
 {

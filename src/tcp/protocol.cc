@@ -498,20 +498,41 @@ Coro<void>
 Protocol::rxLoop(unsigned queue)
 {
     nic::RxMailbox &rx = *rxMailboxes_[queue];
+    const int core = rxCoreFor(queue);
+    std::vector<RxShare> shares;
     for (;;) {
         std::vector<Burst> batch = co_await rx.next();
-        co_await processBatch(queue, batch);
+        sim::RequestTracer *rt = host_.sim.requestTracer();
+        shares.clear();
+        const Tick cost = chargeRxPass(batch, rt ? &shares : nullptr);
+
+        // The pass runs uninterrupted at the head of its core, which
+        // keeps its busy interval contiguous for exact attribution.
+        co_await host_.cpu.compute(cost, core, /*highPriority=*/true);
+
+        if (rt && !shares.empty()) {
+            // The pass's busy interval is the contiguous tail
+            // [t1 - cost, t1]; each burst's shares lie sequentially at
+            // its accumulated offset.  The pass entry cost and
+            // control-burst costs stay unattributed (request residue),
+            // by design.
+            const Tick base = host_.sim.now() - cost;
+            for (const auto &s : shares)
+                rt->recordComponents(s.ctx, base + s.off, core,
+                                     s.charge.parts());
+        }
+
+        applyRxPass(batch);
         // Hand the drained vector back so a later interrupt reuses
         // its capacity.
         nic_.recycleBatch(std::move(batch));
     }
 }
 
-Coro<void>
-Protocol::processBatch(unsigned queue, const std::vector<Burst> &bursts)
+Tick
+Protocol::chargeRxPass(const std::vector<Burst> &bursts,
+                       std::vector<RxShare> *shares)
 {
-    const int core = rxCoreFor(queue);
-
     // NIC receive DMA deposited all of this into host memory.
     std::size_t wire_total = 0;
     for (const auto &b : bursts) {
@@ -521,28 +542,12 @@ Protocol::processBatch(unsigned queue, const std::vector<Burst> &bursts)
         wire_total += b.wireBytes;
     }
     host_.bus.consume(sim::Bytes{wire_total});
-    sim::RequestTracer *rt = host_.sim.requestTracer();
+    return rxPassCost(bursts, shares);
+}
 
-    // ---- pass 1: charge the CPU cost of this RX pass ----
-    std::vector<RxShare> shares;
-    const Tick cost = rxPassCost(bursts, rt ? &shares : nullptr);
-
-    // The pass runs uninterrupted at the head of its core, which
-    // keeps its busy interval contiguous for exact attribution.
-    co_await host_.cpu.compute(cost, core, /*highPriority=*/true);
-
-    if (rt && !shares.empty()) {
-        // The pass's busy interval is the contiguous tail
-        // [t1 - cost, t1]; each burst's shares lie sequentially at its
-        // accumulated offset.  The pass entry cost and control-burst
-        // costs stay unattributed (request residue), by design.
-        const Tick base = host_.sim.now() - cost;
-        for (const auto &s : shares)
-            rt->recordComponents(s.ctx, base + s.off, core,
-                                 s.charge.parts());
-    }
-
-    // ---- pass 2: apply protocol effects ----
+void
+Protocol::applyRxPass(const std::vector<Burst> &bursts)
+{
     for (const auto &b : bursts) {
         switch (kindOf(b)) {
           case BurstKind::Data: {

@@ -482,13 +482,18 @@ class Protocol
     /**
      * Per-queue service loop (a softirq, or a busy-poll loop):
      * batches of one RX queue are processed strictly in order, one at
-     * a time.
+     * a time.  Each pass charges its CPU cost on the queue's core,
+     * then applies the batch's protocol effects.
      */
     Coro<void> rxLoop(unsigned queue);
 
-    /** Charge one RX pass, then apply its protocol effects. */
-    Coro<void> processBatch(unsigned queue,
-                            const std::vector<Burst> &bursts);
+    /** Pass 1: the batch's bus traffic and the CPU cost of the pass
+     *  (traced data bursts append their shares to @p shares). */
+    Tick chargeRxPass(const std::vector<Burst> &bursts,
+                      std::vector<RxShare> *shares);
+
+    /** Pass 2: apply the batch's protocol effects, in burst order. */
+    void applyRxPass(const std::vector<Burst> &bursts);
 
     /**
      * Transmit a zero-payload control burst on a connection's flow.

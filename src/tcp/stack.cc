@@ -40,7 +40,6 @@ TcpStack::TcpStack(const Host &host, nic::Nic &nic, const TcpConfig &cfg)
         "tcp.hdrPool", cfg_.headerPoolBytes,
         /*protectedHot=*/cfg_.splitHeader);
     netStream_ = host_.cache.addFootprint("tcp.netStream", 0);
-    netStreamSize_ = host_.cache.sizeSlot(netStream_);
 }
 
 TcpStack::~TcpStack()
@@ -53,9 +52,9 @@ void
 TcpStack::noteStreamBytes(sim::Bytes bytes)
 {
     streamWindow_.add(bytes.count());
-    *netStreamSize_ = static_cast<std::size_t>(
-        std::min<std::uint64_t>(streamWindow_.estimate(),
-                                4 * host_.cache.capacity()));
+    const std::uint64_t size = std::min<std::uint64_t>(
+        streamWindow_.estimate(), 4 * host_.cache.capacity());
+    host_.cache.resizeFootprint(netStream_, static_cast<std::size_t>(size));
 }
 
 Charge

@@ -61,8 +61,6 @@ class TcpStack final : public Protocol
     mem::FootprintId hdrPool_;
     /** Streaming payload footprint from recent CPU copies/touches. */
     mem::FootprintId netStream_;
-    /** Cached size slot: noteStreamBytes runs per segment. */
-    std::size_t *netStreamSize_ = nullptr;
     mem::RollingBytes streamWindow_;
 
     sim::stats::Counter rxSegments_;

@@ -145,6 +145,159 @@ TEST(ModelBased, CacheModelInvariantsUnderChurn)
     }
 }
 
+/**
+ * The cache model as it stood when every query re-summed the
+ * footprints by walking an ordered map.  residency() and
+ * transientResidency() are kept verbatim: the running sums must
+ * reproduce their doubles bit for bit.
+ */
+class WalkingCacheModel
+{
+  public:
+    explicit WalkingCacheModel(std::size_t capacity) : capacity_(capacity) {}
+
+    void
+    add(mem::FootprintId id, std::size_t bytes, bool protectedHot)
+    {
+        footprints_.emplace(id, Footprint{bytes, protectedHot});
+    }
+
+    void
+    resize(mem::FootprintId id, std::size_t bytes)
+    {
+        footprints_.at(id).bytes = bytes;
+    }
+
+    void remove(mem::FootprintId id) { footprints_.erase(id); }
+
+    double
+    residency(mem::FootprintId id) const
+    {
+        auto it = footprints_.find(id);
+        sim::simAssert(it != footprints_.end(), "unknown footprint");
+        const Footprint &f = it->second;
+        if (f.bytes == 0)
+            return 1.0;
+
+        std::size_t protectedSum = 0, streamingSum = 0;
+        for (const auto &[fid, fp] : footprints_) {
+            if (fp.protectedHot)
+                protectedSum += fp.bytes;
+            else
+                streamingSum += fp.bytes;
+        }
+
+        if (f.protectedHot) {
+            if (protectedSum <= capacity_)
+                return 1.0;
+            return static_cast<double>(capacity_) /
+                   static_cast<double>(protectedSum);
+        }
+
+        const std::size_t left =
+            protectedSum >= capacity_ ? 0 : capacity_ - protectedSum;
+        if (streamingSum <= left)
+            return 1.0;
+        if (left == 0)
+            return 0.0;
+        return static_cast<double>(left) /
+               static_cast<double>(streamingSum);
+    }
+
+    double
+    transientResidency(std::size_t bytes) const
+    {
+        if (bytes == 0)
+            return 1.0;
+        std::size_t protectedSum = 0, streamingSum = 0;
+        for (const auto &[fid, fp] : footprints_) {
+            if (fp.protectedHot)
+                protectedSum += fp.bytes;
+            else
+                streamingSum += fp.bytes;
+        }
+        const std::size_t left =
+            protectedSum >= capacity_ ? 0 : capacity_ - protectedSum;
+        const std::size_t demand = streamingSum + bytes;
+        if (demand <= left)
+            return 1.0;
+        if (left == 0)
+            return 0.0;
+        return static_cast<double>(left) / static_cast<double>(demand);
+    }
+
+  private:
+    struct Footprint
+    {
+        std::size_t bytes;
+        bool protectedHot;
+    };
+
+    std::size_t capacity_;
+    std::map<mem::FootprintId, Footprint> footprints_;
+};
+
+TEST(ModelBased, CacheModelSumsMatchRecount)
+{
+    const std::size_t cap = sim::mib(2);
+    mem::CacheModel cache(cap);
+    WalkingCacheModel ref(cap);
+    Rng rng(23);
+    // (id, protected) of every live footprint
+    std::vector<std::pair<mem::FootprintId, bool>> live;
+    // Half the sizes are small, so both the under- and the
+    // oversubscribed regimes come up; a few are empty.
+    auto size = [&rng] {
+        const double u = rng.uniform();
+        if (u < 0.05)
+            return std::size_t{0};
+        return static_cast<std::size_t>(
+            rng.uniformInt(0, u < 0.5 ? sim::kib(256) : sim::mib(3)));
+    };
+    // Residencies seen, [protected][resident, partly, evicted]: the
+    // walk must have taken every branch for the match to mean much.
+    int seen[2][3] = {};
+
+    for (int step = 0; step < 4000; ++step) {
+        const double action = rng.uniform();
+        if (live.empty() || (action < 0.3 && live.size() < 12)) {
+            const std::size_t bytes = size();
+            const bool hot = rng.uniform() < 0.3;
+            const auto id = cache.addFootprint("f", bytes, hot);
+            ref.add(id, bytes, hot);
+            live.emplace_back(id, hot);
+        } else if (action < 0.7) {
+            const auto id = live[rng.uniformInt(0, live.size() - 1)].first;
+            const std::size_t bytes = size();
+            cache.resizeFootprint(id, bytes);
+            ref.resize(id, bytes);
+        } else {
+            const auto idx = rng.uniformInt(0, live.size() - 1);
+            cache.removeFootprint(live[idx].first);
+            ref.remove(live[idx].first);
+            live.erase(live.begin() + static_cast<long>(idx));
+        }
+
+        for (const auto &[id, hot] : live) {
+            const double r = ref.residency(id);
+            ASSERT_EQ(cache.residency(id), r) << "step " << step;
+            ++seen[hot][r == 1.0 ? 0 : r > 0.0 ? 1 : 2];
+        }
+        for (const std::size_t n :
+             {std::size_t{0}, std::size_t{1}, sim::kib(64), sim::mib(1),
+              sim::mib(4)}) {
+            ASSERT_EQ(cache.transientResidency(n),
+                      ref.transientResidency(n))
+                << "step " << step << ", n " << n;
+        }
+    }
+    EXPECT_GT(seen[1][0], 0);
+    EXPECT_GT(seen[1][1], 0);
+    EXPECT_GT(seen[0][0], 0);
+    EXPECT_GT(seen[0][1], 0);
+    EXPECT_GT(seen[0][2], 0);
+}
+
 // --------------------------------------------------------------------
 // EventQueue ordering vs a sorted reference
 // --------------------------------------------------------------------

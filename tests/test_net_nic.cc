@@ -332,6 +332,70 @@ TEST(Nic, PollingAddsBoundedLatency)
     EXPECT_LE(delivered, wire + sim::microseconds(100));
 }
 
+/** A one-burst RX batch tagged by its flow. */
+std::vector<Burst>
+batchOf(std::uint64_t flow)
+{
+    Burst b;
+    b.flow = flow;
+    return {b};
+}
+
+/** An RX loop that takes a batch, stays busy 10 ticks, and repeats. */
+sim::Coro<void>
+busyRxLoop(Simulation &sim, nic::RxMailbox &box,
+           std::vector<std::pair<Tick, std::uint64_t>> &taken)
+{
+    for (;;) {
+        std::vector<Burst> batch = co_await box.next();
+        taken.emplace_back(sim.now(), batch.front().flow);
+        co_await sim.delay(Tick{10});
+    }
+}
+
+TEST(RxMailbox, ParkedLoopWakesOnceAndBatchesKeepPostOrder)
+{
+    Simulation sim;
+    nic::RxMailbox box(sim);
+    std::vector<std::pair<Tick, std::uint64_t>> taken;
+    sim.spawn(busyRxLoop(sim, box, taken));
+    ASSERT_EQ(sim.run(), 1u); // the spawn; the loop parks
+
+    // Posted while the loop is parked: one wake event, then the
+    // loop's busy spell.
+    box.post(batchOf(1));
+    EXPECT_EQ(sim.run(), 2u);
+
+    // A post to the parked loop wakes it once; posts made while it is
+    // busy (tick 15, inside its 10..20 spell) run no wake event.
+    box.post(batchOf(2));
+    sim.queue().scheduleIn(Tick{5}, [&box] {
+        box.post(batchOf(3));
+        box.post(batchOf(4));
+    });
+    // wake, poster, and three busy spells
+    EXPECT_EQ(sim.run(), 5u);
+    const std::vector<std::pair<Tick, std::uint64_t>> want = {
+        {Tick{0}, 1}, {Tick{10}, 2}, {Tick{20}, 3}, {Tick{30}, 4}};
+    EXPECT_EQ(taken, want);
+}
+
+/** Takes one batch from @p box. */
+sim::Coro<void>
+takeOne(nic::RxMailbox &box)
+{
+    co_await box.next();
+}
+
+TEST(RxMailboxDeathTest, SecondParkedConsumerPanics)
+{
+    Simulation sim;
+    nic::RxMailbox box(sim);
+    sim.spawn(takeOne(box));
+    sim.spawn(takeOne(box));
+    EXPECT_DEATH(sim.run(), "second consumer");
+}
+
 TEST(SwitchDeathTest, UnattachedDestinationPanics)
 {
     TwoNodes t;

@@ -631,10 +631,25 @@ TEST(Profile, BenchdiffGatesOnThroughputRegression)
                                 "tp_base.json tp_model.json");
     EXPECT_EQ(strict.exitCode, 1) << strict.output;
 
+    // Speed is wall time: a change that spends a tenth of the events
+    // and runs in half the time is a speed-up, although its
+    // events/sec fell to 0.2x.
+    writeFile("tp_fewer.json", R"({"schema":"ioat-bench-v1",
+"bench":"fig03_bandwidth","gitRev":"eeee",
+"config":{"transport":"default"},
+"metrics":{"events":100,"wallSeconds":0.5,
+           "eventsPerSec":200,"peakRssBytes":1000000}})");
+    const auto fewer = runTool(tool + "tp_base.json tp_fewer.json");
+    EXPECT_EQ(fewer.exitCode, 0) << fewer.output;
+    EXPECT_NE(fewer.output.find("speed ratio:      2.00x"),
+              std::string::npos)
+        << fewer.output;
+
     std::remove("tp_base.json");
     std::remove("tp_ok.json");
     std::remove("tp_slow.json");
     std::remove("tp_model.json");
+    std::remove("tp_fewer.json");
 }
 
 TEST(Profile, PerfabDryRunPrintsAbbaSchedule)

@@ -13,10 +13,13 @@ run and exits non-zero on regression, so CI can gate on it:
    many events the engine spends on the same results (the goldens
    and perfbench's pins hold; the baselines are regenerated with
    that change);
- * perf fields compare with tolerance — events/sec may not drop below
-   --min-ratio x baseline, peak RSS may not exceed --max-rss-ratio x
-   baseline.  Checked-in baselines come from a different machine, so
-   CI uses a generous --min-ratio;
+ * perf fields compare with tolerance — speed, baseline wallSeconds /
+   current wallSeconds, may not drop below --min-ratio, and peak RSS
+   may not exceed --max-rss-ratio x baseline.  Speed is wall time, not
+   events/sec: a change that spends fewer events on the same results
+   lowers events/sec while the run gets faster.  At equal event counts
+   the two ratios are the same.  Checked-in baselines come from a
+   different machine, so CI uses a generous --min-ratio;
  * config-echo differences are reported, and fatal with --strict-config.
 
 Usage:
@@ -50,8 +53,8 @@ def main():
     ap.add_argument("baseline")
     ap.add_argument("current")
     ap.add_argument("--min-ratio", type=float, default=0.5,
-                    help="current events/sec must be >= this x baseline "
-                         "(default 0.5)")
+                    help="baseline wallSeconds / current wallSeconds "
+                         "must be >= this (default 0.5)")
     ap.add_argument("--max-rss-ratio", type=float, default=4.0,
                     help="current peak RSS must be <= this x baseline "
                          "(default 4.0)")
@@ -90,19 +93,20 @@ def main():
 
     if bm["events"] != cm["events"]:
         line = (f"executed events changed: {bm['events']} -> "
-                f"{cm['events']} (model change, not noise)")
+                f"{cm['events']} (the code changed: the model, or only "
+                f"the events spent on the same results; not noise)")
         if args.require_events_equal:
             failures.append(line)
         else:
             print(f"  note: {line}")
 
-    if bm["eventsPerSec"] > 0:
-        ratio = cm["eventsPerSec"] / bm["eventsPerSec"]
-        print(f"  throughput ratio: {ratio:.2f}x "
+    if cm["wallSeconds"] > 0:
+        ratio = bm["wallSeconds"] / cm["wallSeconds"]
+        print(f"  speed ratio:      {ratio:.2f}x "
               f"(gate: >= {args.min_ratio:.2f}x)")
         if ratio < args.min_ratio:
             failures.append(
-                f"events/sec regressed to {ratio:.2f}x baseline "
+                f"wall time regressed: speed {ratio:.2f}x baseline "
                 f"(min {args.min_ratio:.2f}x)")
 
     if bm["peakRssBytes"] > 0:
